@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
   }
 
   // Tail behaviour via quantile regression on a thinned 64 B design
-  // (~500 points: the dense simplex is O(n^2) per pivot). Same seeds as
+  // (every 32nd of 8000 samples per system, 500 points). Same seeds as
   // the historical run: a dedicated 8000-sample campaign cell pair.
   const auto thin_us = [](const sim::Machine& machine) {
     const auto series = simmpi::pingpong_latency(machine, 8000, 64, 2024);
@@ -243,6 +243,8 @@ int main(int argc, char** argv) {
     const auto fit = stats::quantile_regression(y, x, tau);
     if (fit.converged) {
       std::printf("  tau=%.2f  difference=%+.3f us\n", tau, fit.coefficients[1]);
+    } else {
+      std::printf("  tau=%.2f  fit did not converge\n", tau);
     }
   }
   std::printf("\n");

@@ -199,7 +199,12 @@ Finding analyze_series(const MetricSeries& series, const DetectionOptions& optio
   }
 
   // ---- Trend (dashboard-only): tau=0.5 regression on (seq, median). -
-  if (n >= 6) {
+  // A median that parsed from `null` is NaN; the fit rejects it.
+  const char* trend_issue = "";
+  const bool finite_medians = std::all_of(medians.begin(), medians.end(),
+                                          [](double v) { return std::isfinite(v); });
+  if (n >= 6 && !finite_medians) trend_issue = ", no trend fit (non-finite median)";
+  if (n >= 6 && finite_medians) {
     std::vector<double> y(medians.begin(), medians.end());
     std::vector<std::vector<double>> design;
     design.reserve(n);
@@ -217,6 +222,8 @@ Finding analyze_series(const MetricSeries& series, const DetectionOptions& optio
           finding.trend_slope * static_cast<double>(n - 1) + medians.front(),
           medians.front());
       finding.trend = slope_significant && std::fabs(drift) >= options.min_effect;
+    } else {
+      trend_issue = ", trend fit did not converge";
     }
   }
 
@@ -228,11 +235,12 @@ Finding analyze_series(const MetricSeries& series, const DetectionOptions& optio
                   finding.tail_k == 1 ? "" : "s", finding.tail_p);
   }
   char note[256];
-  std::snprintf(note, sizeof note, "latest %.6g vs baseline %.6g %s (%+.1f%%)%s%s%s%s",
+  std::snprintf(note, sizeof note, "latest %.6g vs baseline %.6g %s (%+.1f%%)%s%s%s%s%s",
                 finding.latest_median, finding.baseline_median, finding.unit.c_str(),
                 finding.change_fraction * 100.0,
                 finding.changepoint ? ", step change in regime" : "", tail_note,
                 finding.trend ? ", sustained trend" : "",
+                trend_issue,
                 finding.baseline_ci_degenerate ? ", baseline CI degenerate [min, max]"
                                                : "");
   finding.note = note;

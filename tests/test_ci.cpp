@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -271,6 +272,47 @@ TEST(Detect, FlatNoisyHistoryStaysQuiet) {
     if (any_regression(findings)) ++regressions;
   }
   EXPECT_EQ(regressions, 0);
+}
+
+// The trend detector at the call the gate makes: a tau = 0.5 fit with 200
+// bootstrap refits over a 100-point history.
+TEST(Detect, SlowDriftSetsTrendWithoutRegression) {
+  rng::Xoshiro256 gen(0xd41f7);
+  std::vector<double> medians;
+  for (int i = 0; i < 100; ++i) {
+    medians.push_back(3.0 * (1.0 + 0.06 * i / 99.0) * (1.0 + 0.01 * rng::uniform(gen, -1.0, 1.0)));
+  }
+  const HistoryStore store = store_with(temp_path("hist_drift.jsonl"), medians);
+  const Finding finding = analyze_series(store.series().at(0));
+  EXPECT_TRUE(finding.trend);
+  EXPECT_GT(finding.trend_slope, 0.0);
+  EXPECT_NE(finding.verdict, Verdict::kRegression);
+  EXPECT_NE(finding.note.find("sustained trend"), std::string::npos) << finding.note;
+}
+
+TEST(Detect, FlatSeriesSetsNeitherTrendNorRegression) {
+  rng::Xoshiro256 gen(0xf1a7);
+  std::vector<double> medians;
+  for (int i = 0; i < 100; ++i) medians.push_back(3.0 * (1.0 + 0.01 * rng::uniform(gen, -1.0, 1.0)));
+  const HistoryStore store = store_with(temp_path("hist_flat_trend.jsonl"), medians);
+  const Finding finding = analyze_series(store.series().at(0));
+  EXPECT_FALSE(finding.trend);
+  EXPECT_NE(finding.verdict, Verdict::kRegression);
+  EXPECT_EQ(finding.note.find("trend"), std::string::npos) << finding.note;
+}
+
+// A `null` median in the history parses to NaN. The trend fit rejects
+// non-finite input, so the detector skips it and says so.
+TEST(Detect, NonFiniteMedianSkipsTheTrendFit) {
+  std::vector<double> medians;
+  for (int i = 0; i < 20; ++i) medians.push_back(1.0 + 0.001 * (i % 3));
+  medians[7] = std::numeric_limits<double>::quiet_NaN();
+  const HistoryStore store = store_with(temp_path("hist_nan.jsonl"), medians);
+  Finding finding;
+  ASSERT_NO_THROW(finding = analyze_series(store.series().at(0)));
+  EXPECT_FALSE(finding.trend);
+  EXPECT_NE(finding.note.find("no trend fit (non-finite median)"), std::string::npos)
+      << finding.note;
 }
 
 TEST(Detect, ShortHistoryIsInsufficientNotStable) {

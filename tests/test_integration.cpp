@@ -78,8 +78,7 @@ TEST(Integration, QuantileRegressionFindsCrossover) {
 
   std::vector<double> y;
   std::vector<std::vector<double>> x;
-  // Subsample for LP tractability; keep every 8th observation.
-  for (std::size_t i = 0; i < dora.size(); i += 8) {
+  for (std::size_t i = 0; i < dora.size(); ++i) {
     y.push_back(dora[i] * 1e6);
     x.push_back({0.0});
     y.push_back(pilatus[i] * 1e6);
