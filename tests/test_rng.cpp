@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <ostream>
 #include <vector>
 
 #include "rng/distributions.hpp"
@@ -106,6 +107,10 @@ struct MomentCase {
   double expected_var;
   double (*sample)(Xoshiro256&);
 };
+
+// gtest would otherwise print the raw bytes of the case, which include the
+// addresses of `name` and `sample` and so change from run to run under ASLR.
+void PrintTo(const MomentCase& mc, std::ostream* os) { *os << mc.name; }
 
 class DistributionMoments : public ::testing::TestWithParam<MomentCase> {};
 
