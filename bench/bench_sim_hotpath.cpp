@@ -13,8 +13,9 @@
 // ~16k concurrent event chains (sift-dominated). Repetitions of the
 // two engines are interleaved so drift hits both equally. Part 2 does
 // the same for bootstrap_bca_ci of the median at n=1000 / B=10000,
-// asserting the fast interval equals the callback-path interval bit
-// for bit. Part 3 counts actual allocator calls (global operator new
+// ResampleStat::custom (an opaque callable on materialized resamples)
+// vs ResampleStat::median (selection on ranks), asserting the two
+// intervals are equal bit for bit. Part 3 counts actual allocator calls (global operator new
 // override) across a warmed steady-state dispatch loop and requires
 // exactly zero, along with a zero delta on the
 // engine.callback_heap_allocs obs counter.
@@ -360,7 +361,7 @@ void bench_engine(bool smoke) {
 }
 
 // ---------------------------------------------------------------------------
-// Part 2: BCa bootstrap of the median, callback path vs selection path.
+// Part 2: BCa bootstrap of the median, custom callable vs selection path.
 // ---------------------------------------------------------------------------
 
 void bench_bootstrap(bool smoke) {
@@ -376,9 +377,8 @@ void bench_bootstrap(bool smoke) {
   xs.reserve(n);
   for (std::size_t i = 0; i < n; ++i) xs.push_back(rng::lognormal(gen, 0.0, 0.5));
 
-  const stats::Statistic generic_median = [](std::span<const double> s) {
-    return stats::median(s);
-  };
+  const auto generic_median = stats::ResampleStat::custom(
+      [](std::span<const double> s) { return stats::median(s); });
   const auto fast_median = stats::ResampleStat::median();
 
   std::vector<double> generic_s, fast_s;
@@ -393,7 +393,7 @@ void bench_bootstrap(bool smoke) {
     fast_s.push_back(now_seconds() - t0);
 
     check(slow_ci.lower == fast_ci.lower && slow_ci.upper == fast_ci.upper,
-          "fast BCa interval bit-identical to callback path");
+          "fast BCa interval bit-identical to custom-callable path");
   }
 
   auto to_ms = [](std::vector<double>& v) {
@@ -407,7 +407,7 @@ void bench_bootstrap(bool smoke) {
   }
   const Summary generic = summarize(generic_s);
   const Summary fast = summarize(fast_s);
-  std::printf("  generic (Statistic)    median %8.1f ms   95%% CI [%8.1f, %8.1f]\n",
+  std::printf("  generic (custom)       median %8.1f ms   95%% CI [%8.1f, %8.1f]\n",
               generic.median, generic.lo, generic.hi);
   std::printf("  fast (ResampleStat)    median %8.1f ms   95%% CI [%8.1f, %8.1f]\n",
               fast.median, fast.lo, fast.hi);

@@ -17,18 +17,25 @@
 // and the median (selection-bound -- where lanes exist to be sharded
 // across threads, and the single-thread delta is honestly ~1x).
 //
-// Part 2 pins what the speedup must not buy: distributions byte-equal
-// across {1,2,4,8} threads at fixed lanes, and lanes=1 byte-equal to
-// the legacy path.
+// Part 2 duels the two median selection kernels the engine chooses
+// between by sample size (histogram_select.hpp): histogram and
+// partition selection, called directly on the same pre-drawn rank rows
+// at n = 64, where histogram must win by >= 1.5x. `--crossover` runs
+// the same duel for n = 16 ... 2^22 to locate kHistogramSelectMaxN.
 //
-// Part 3 audits the alloc-free steady state: a warmed engine's
-// distribution() makes exactly zero calls into the global allocator.
+// Part 3 times BCa CIs serial vs threaded (the jackknife fan-out).
+//
+// Parts 4 and 5 pin what the speedup must not buy: distributions
+// byte-equal across {1,2,4,8} threads at fixed lanes and across ISA
+// tables, lanes=1 byte-equal to the default-policy entry point, and a
+// warmed engine's distribution() making zero allocator calls.
 //
 // `--smoke` shrinks sizes for CI; determinism and allocation invariants
 // are still asserted, timing gates only run in full mode (and the >=4x
 // multi-core gate only arms when the host actually has >= 4 hardware
 // threads -- Rule 4: report the environment, don't gate on what it
 // cannot show).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -48,6 +55,7 @@
 #include "stats/confidence.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/histogram_select.hpp"
+#include "stats/selection.hpp"
 #include "stats/simd_dispatch.hpp"
 
 // ---------------------------------------------------------------------------
@@ -200,53 +208,95 @@ DuelOutcome duel(const char* name, const char* slug, const stats::ResampleStat& 
   return outcome;
 }
 
-// ------------------------------------- small-n duel: PR 8 vs histogram
+// ------------------------------- selection kernels: partition vs histogram
+
+/// Pre-drawn resample rows for the selection duels: `rows` rows of n
+/// ranks in [0, n) (the engine's quantile rows are uniform draws mapped
+/// through a rank permutation, so uniform ranks are the same
+/// distribution) over a sorted lognormal sample.
+struct RankRows {
+  std::size_t n = 0;
+  std::size_t rows = 0;
+  std::vector<double> sorted;
+  std::vector<std::uint32_t> ranks;  // rows x n
+};
+
+RankRows make_rank_rows(std::size_t n, std::size_t rows) {
+  RankRows r;
+  r.n = n;
+  r.rows = rows;
+  r.sorted = stats::sorted_copy(make_series(1, n).front());
+  rng::Xoshiro256 gen(0x5e1ec7 + n);
+  r.ranks.resize(rows * n);
+  for (auto& v : r.ranks) v = static_cast<std::uint32_t>(rng::uniform_below(gen, n));
+  return r;
+}
+
+struct SelectOutcome {
+  std::vector<double> partition;  // selections/s per rep
+  std::vector<double> histogram;
+};
+
+/// Interleaved duel of the two median kernels the engine chooses
+/// between, called directly on the same rows. Each pass starts from a
+/// fresh copy of the rows, made before the clock starts, because
+/// partition selection reorders its input (the engine hands it a
+/// freshly drawn row).
+SelectOutcome select_duel(const RankRows& r, std::size_t reps) {
+  const std::size_t n = r.n;
+  const stats::QuantilePlan plan =
+      stats::make_quantile_plan(n, 0.5, stats::QuantileMethod::kR7Linear);
+  const stats::simd::Kernels& kernels = stats::simd::dispatch();
+  std::vector<std::uint32_t> work(r.ranks.size());
+  std::vector<std::uint32_t> counts(n);
+  const auto pass = [&](bool histogram) {
+    std::copy(r.ranks.begin(), r.ranks.end(), work.begin());
+    const double t0 = now_s();
+    double sink = 0.0;
+    for (std::size_t i = 0; i < r.rows; ++i) {
+      const std::span<std::uint32_t> row(work.data() + i * n, n);
+      sink += histogram
+                  ? stats::histogram_select_quantile(row, r.sorted, counts, plan, kernels)
+                  : stats::selection_quantile(row, r.sorted, plan);
+    }
+    const double dt = now_s() - t0;
+    check(sink > 0.0, "selection pass produced positive medians");
+    return static_cast<double>(r.rows) / dt;
+  };
+  (void)pass(false);  // warm-up: fault the pages, load the code
+  (void)pass(true);
+  SelectOutcome out;
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    out.partition.push_back(pass(false));
+    out.histogram.push_back(pass(true));
+  }
+  return out;
+}
 
 struct SmallnOutcome {
   Summary partition;
   Summary histogram;
 };
 
-/// Interleaved duel on the small-n resample regime: the same vectorized
-/// engine configuration {1t, 8 lanes} with the histogram path disabled
-/// (crossover 0 == the PR 8 median kernel: partition selection) vs
-/// always-on. The crossover is re-set around every pass, so both
-/// configurations see identical drift.
-SmallnOutcome smalln_median_duel(const Workload& w, std::size_t reps) {
-  const stats::ResampleStat stat = stats::ResampleStat::median();
-  const std::size_t saved = stats::histogram_select_crossover();
-  constexpr std::size_t kAlways = static_cast<std::size_t>(-1);
-
-  stats::BootstrapEngine partition_engine(stats::ExecPolicy{1, 8});
-  stats::BootstrapEngine histogram_engine(stats::ExecPolicy{1, 8});
-  stats::set_histogram_select_crossover(0);
-  (void)time_pass(partition_engine, w, stat);
-  stats::set_histogram_select_crossover(kAlways);
-  (void)time_pass(histogram_engine, w, stat);
-
-  std::vector<double> partition_s, histogram_s;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    stats::set_histogram_select_crossover(0);
-    partition_s.push_back(time_pass(partition_engine, w, stat));
-    stats::set_histogram_select_crossover(kAlways);
-    histogram_s.push_back(time_pass(histogram_engine, w, stat));
-  }
-  stats::set_histogram_select_crossover(saved);
-
+/// Small-n regime, where the engine always takes the histogram kernel:
+/// it must beat partition selection by the margin that justifies
+/// keeping two kernels.
+SmallnOutcome smalln_select_duel(const RankRows& r, std::size_t reps) {
+  const SelectOutcome raw = select_duel(r, reps);
   if (g_reporter != nullptr) {
-    g_reporter->add_metric("median_ci_smalln.partition", "ci/s", partition_s,
+    g_reporter->add_metric("median_select_smalln.partition", "select/s", raw.partition,
                            obs::Improve::kHigher);
-    g_reporter->add_metric("median_ci_smalln.histogram", "ci/s", histogram_s,
+    g_reporter->add_metric("median_select_smalln.histogram", "select/s", raw.histogram,
                            obs::Improve::kHigher);
   }
   SmallnOutcome outcome;
-  outcome.partition = summarize(partition_s);
-  outcome.histogram = summarize(histogram_s);
-  std::printf("  median CI, n=%zu, {1t, 8 lanes}, isa=%s\n", w.series.front().size(),
+  outcome.partition = summarize(raw.partition);
+  outcome.histogram = summarize(raw.histogram);
+  std::printf("  median selection, n=%zu, %zu rows, isa=%s\n", r.n, r.rows,
               to_string(stats::simd::active_isa()));
-  std::printf("    %-24s %8.1f [%8.1f, %8.1f] ci/s\n", "partition (PR 8 kernel)",
+  std::printf("    %-24s %10.0f [%10.0f, %10.0f] select/s\n", "partition",
               outcome.partition.median, outcome.partition.lo, outcome.partition.hi);
-  std::printf("    %-24s %8.1f [%8.1f, %8.1f] ci/s   %.2fx\n", "histogram select",
+  std::printf("    %-24s %10.0f [%10.0f, %10.0f] select/s   %.2fx\n", "histogram",
               outcome.histogram.median, outcome.histogram.lo, outcome.histogram.hi,
               outcome.histogram.median / outcome.partition.median);
   return outcome;
@@ -310,41 +360,28 @@ BcaOutcome bca_duel(const Workload& w, std::size_t reps) {
 
 // ------------------------------------------------- crossover sweep
 
-/// Measures the histogram/partition crossover: per sample size n, the
-/// median-CI replicate throughput of each kernel, interleaved. This is
-/// how the kDefaultCrossover in histogram_select.cpp was chosen (table
-/// in DESIGN.md); rerun with --crossover on new hardware.
+/// Measures where histogram selection stops beating partition
+/// selection, by the small-n duel's direct method at each n. This is
+/// how kHistogramSelectMaxN (histogram_select.hpp) was chosen (table in
+/// bench/RESULTS_stats_parallel.md); rerun with --crossover on new
+/// hardware.
 void crossover_sweep(std::size_t reps) {
-  const stats::ResampleStat stat = stats::ResampleStat::median();
-  const std::size_t saved = stats::histogram_select_crossover();
-  constexpr std::size_t kAlways = static_cast<std::size_t>(-1);
-  std::printf("  isa=%s; replicates/s per kernel (median of %zu interleaved reps)\n",
+  std::printf("  isa=%s; selections/s per kernel (median of %zu interleaved reps)\n",
               to_string(stats::simd::active_isa()), reps);
   std::printf("    %8s %14s %14s %8s\n", "n", "partition", "histogram", "ratio");
-  for (const std::size_t n : {16u, 64u, 256u, 1024u, 4096u, 16384u, 65536u, 262144u}) {
-    Workload w;
-    w.series = make_series(4, n);
-    // Keep the per-cell draw count roughly constant so each pass stays
-    // around a few milliseconds at every n.
-    w.replicates = std::max<std::size_t>(200'000 / n, 50);
-    stats::BootstrapEngine partition_engine(stats::ExecPolicy{1, 8});
-    stats::BootstrapEngine histogram_engine(stats::ExecPolicy{1, 8});
-    stats::set_histogram_select_crossover(0);
-    (void)time_pass(partition_engine, w, stat);
-    stats::set_histogram_select_crossover(kAlways);
-    (void)time_pass(histogram_engine, w, stat);
-    std::vector<double> partition_s, histogram_s;
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      stats::set_histogram_select_crossover(0);
-      partition_s.push_back(time_pass(partition_engine, w, stat));
-      stats::set_histogram_select_crossover(kAlways);
-      histogram_s.push_back(time_pass(histogram_engine, w, stat));
-    }
-    const double part = summarize(partition_s).median * static_cast<double>(w.replicates);
-    const double hist = summarize(histogram_s).median * static_cast<double>(w.replicates);
+  std::size_t largest_win = 0;
+  for (std::size_t n = 16; n <= (std::size_t{1} << 22); n *= (n < (1u << 18) ? 4 : 2)) {
+    // About 2^20 draws per pass at every n, at least two rows.
+    const RankRows r =
+        make_rank_rows(n, std::max<std::size_t>((std::size_t{1} << 20) / n, 2));
+    const SelectOutcome raw = select_duel(r, reps);
+    const double part = summarize(raw.partition).median;
+    const double hist = summarize(raw.histogram).median;
+    if (hist > part) largest_win = n;
     std::printf("    %8zu %14.0f %14.0f %7.2fx\n", n, part, hist, hist / part);
   }
-  stats::set_histogram_select_crossover(saved);
+  std::printf("  largest n where histogram wins: %zu (kHistogramSelectMaxN = %zu)\n",
+              largest_win, stats::kHistogramSelectMaxN);
 }
 
 // -------------------------------------------------- determinism checks
@@ -367,12 +404,12 @@ void determinism_checks(const Workload& w) {
     check(got == want, what);
   }
 
-  // lanes = 1 reproduces the legacy single-stream path exactly.
+  // lanes = 1 reproduces the default single-stream entry point exactly.
   const auto legacy = stats::bootstrap_distribution(xs, stat, w.replicates, 0xb00f);
   stats::BootstrapEngine single(stats::ExecPolicy{4, 1});
   std::vector<double> got;
   single.distribution(xs, stat, w.replicates, 0xb00f, got);
-  check(got == legacy, "distribution byte-equal: engine {4t, 1 lane} vs legacy path");
+  check(got == legacy, "distribution byte-equal: engine {4t, 1 lane} vs default policy");
 
   // ISA never changes bytes: {scalar, SIMD} x {1,4,8} threads must all
   // produce one distribution and one BCa interval. On hosts without
@@ -411,7 +448,7 @@ void determinism_checks(const Workload& w) {
   }
   stats::simd::reset_isa();
   std::printf(
-      "  distributions byte-equal across {1,2,4,8} threads; lanes=1 == legacy path\n");
+      "  distributions byte-equal across {1,2,4,8} threads; lanes=1 == default policy\n");
   std::printf(
       "  distribution + BCa byte-equal across {scalar, %s} x {1,4,8} threads\n",
       auto_label);
@@ -479,13 +516,9 @@ int main(int argc, char** argv) {
       duel("median CI (selection-bound)", "median_ci", stats::ResampleStat::median(), w,
            reps);
 
-  std::printf("\n[2] small-n median duel: partition (PR 8) vs histogram select\n");
-  Workload smalln;
-  smalln.series = make_series(g_smoke ? 8 : 32, 64);
-  smalln.replicates = w.replicates;
-  std::printf("  workload: %zu series x n=%zu, %zu bootstrap replicates each\n",
-              smalln.series.size(), smalln.series.front().size(), smalln.replicates);
-  const SmallnOutcome hist = smalln_median_duel(smalln, reps);
+  std::printf("\n[2] small-n median selection: partition vs histogram kernel\n");
+  const SmallnOutcome hist =
+      smalln_select_duel(make_rank_rows(64, (g_smoke ? 8 : 32) * w.replicates), reps);
 
   std::printf("\n[3] BCa CI thread scaling\n");
   const BcaOutcome bca = bca_duel(w, reps);
@@ -528,13 +561,13 @@ int main(int argc, char** argv) {
     } else {
       std::printf("  (multi-core gates skipped: %u hardware thread(s))\n", hc);
     }
-    // Small-n acceptance: the counting-sort kernel must beat the PR 8
+    // Small-n acceptance: the counting-sort kernel must beat the
     // partition kernel on the same single thread -- no hardware gate,
     // this is pure per-core work.
     check(hist.histogram.median >= 1.5 * hist.partition.median,
-          "small-n median CI: histogram select >= 1.5x partition kernel");
+          "small-n median selection: histogram >= 1.5x partition kernel");
     check(hist.histogram.lo > hist.partition.hi,
-          "small-n median CI: 95% CIs disjoint from partition kernel");
+          "small-n median selection: 95% CIs disjoint from partition kernel");
     // BCa scaling is a thread story; arm it only where threads exist.
     // (Serial-vs-serial there is a wash by construction: the jackknife
     // kernels are byte-for-byte the PR 8 loops, just range-sharded.)

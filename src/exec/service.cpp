@@ -57,13 +57,18 @@ CampaignService::~CampaignService() {
 }
 
 void CampaignService::emit(ServiceEventSink* sink, const std::string& line) {
-  if (sink != nullptr) sink->on_event(line);
+  if (sink == nullptr) return;
+  std::lock_guard<std::mutex> lock(sink_mutex_);
+  sink->on_event(line);
 }
 
 std::uint64_t CampaignService::submit(Submission submission, ServiceEventSink* sink) {
   std::uint64_t id = 0;
   const int priority = submission.priority;
   bool rejected = false;
+  // Held from before the job becomes visible to the service thread
+  // until "queued" is written, so the job's "started" cannot overtake it.
+  std::unique_lock<std::mutex> sink_lock(sink_mutex_);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     id = next_job_id_++;
@@ -85,15 +90,22 @@ std::uint64_t CampaignService::submit(Submission submission, ServiceEventSink* s
       if (queue_.size() > metrics_.queue_peak) metrics_.queue_peak = queue_.size();
     }
   }
-  if (rejected) {
-    emit(sink, "{\"event\": \"rejected\", \"job\": " + json::dump_size(id) +
-                   ", \"error\": " + json::quoted("service is stopping") + "}");
-    done_cv_.notify_all();
-    return id;
+  if (sink != nullptr) {
+    const std::string job_field = "\"job\": " + json::dump_size(id);
+    if (rejected) {
+      sink->on_event("{\"event\": \"rejected\", " + job_field +
+                     ", \"error\": " + json::quoted("service is stopping") + "}");
+    } else {
+      sink->on_event("{\"event\": \"queued\", " + job_field +
+                     ", \"priority\": " + std::to_string(priority) + "}");
+    }
   }
-  emit(sink, "{\"event\": \"queued\", \"job\": " + json::dump_size(id) +
-                 ", \"priority\": " + std::to_string(priority) + "}");
-  queue_cv_.notify_one();
+  sink_lock.unlock();
+  if (rejected) {
+    done_cv_.notify_all();
+  } else {
+    queue_cv_.notify_one();
+  }
   return id;
 }
 
@@ -169,15 +181,9 @@ void CampaignService::service_loop() {
 }
 
 void CampaignService::run_job(QueuedJob job) {
-  ServiceEventSink* sink = job.sink;
   // Cell events arrive on runner worker threads and heartbeats on the
-  // monitor thread; serialize them so the sink sees one line at a time.
-  std::mutex emit_mutex;
-  const auto emit_line = [&](const std::string& line) {
-    if (sink == nullptr) return;
-    std::lock_guard<std::mutex> lock(emit_mutex);
-    sink->on_event(line);
-  };
+  // monitor thread; emit() serializes them with every other sink call.
+  const auto emit_line = [&](const std::string& line) { emit(job.sink, line); };
 
   JobOutcome outcome;
   outcome.job_id = job.id;
@@ -226,8 +232,10 @@ void CampaignService::run_job(QueuedJob job) {
 
     outcome.ran = true;
     outcome.cells = result.cells.size();
-    outcome.executed = result.executed;
+    // The runner counts a shared-cache hit as an executed cell (the
+    // backend call succeeded); only the rest reached a worker.
     outcome.deduped = backend.deduped();
+    outcome.executed = result.executed - outcome.deduped;
     outcome.cache_hits = result.cache_hits;
     outcome.journal_hits = result.journal_hits;
     outcome.failed = result.failed;

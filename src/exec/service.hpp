@@ -74,7 +74,7 @@ struct JobOutcome {
   bool ran = false;          ///< false: rejected or cancelled
   std::string error;         ///< rejection/cancellation/abort reason
   std::size_t cells = 0;
-  std::size_t executed = 0;
+  std::size_t executed = 0;  ///< reached a worker process
   std::size_t deduped = 0;   ///< served from the cross-job cache
   std::size_t cache_hits = 0;
   std::size_t journal_hits = 0;
@@ -85,9 +85,11 @@ struct JobOutcome {
   bool sequential = false;
 };
 
-/// Receives the event stream of one submission. Called from the service
-/// thread (never concurrently for one sink); implementations that write
-/// to sockets should tolerate slow/dead peers without throwing.
+/// Receives the event stream of one submission. The service makes one
+/// sink call at a time across all sinks and threads, and a job's
+/// "queued" (or "rejected") event always comes first; implementations
+/// that write to sockets should tolerate slow/dead peers without
+/// throwing.
 class ServiceEventSink {
  public:
   virtual ~ServiceEventSink() = default;
@@ -143,7 +145,8 @@ class CampaignService {
   void service_loop();
   void run_job(QueuedJob job);
   void finish(std::uint64_t job_id, JobOutcome outcome);
-  static void emit(ServiceEventSink* sink, const std::string& line);
+  /// Calls sink->on_event under sink_mutex_ (no-op for nullptr).
+  void emit(ServiceEventSink* sink, const std::string& line);
 
   ProcessPool& pool_;
   ServiceOptions options_;
@@ -156,6 +159,10 @@ class CampaignService {
   std::uint64_t next_job_id_ = 1;
   bool stopping_ = false;
   obs::DaemonMetrics metrics_;
+
+  /// Serializes every sink call; never held while taking mutex_ except
+  /// in submit(), which takes it first.
+  std::mutex sink_mutex_;
 
   std::mutex cache_mutex_;
   CellCache cache_;  ///< cross-job dedupe, full-identity CellKey

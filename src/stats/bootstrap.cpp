@@ -2,131 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
-#include "rng/distributions.hpp"
-#include "rng/xoshiro.hpp"
 #include "stats/bootstrap_detail.hpp"
-#include "stats/bootstrap_engine.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/special_functions.hpp"
 
 namespace sci::stats {
-
-// ---------------------------------------------------------------------------
-// Selection fast path.
-//
-// The trick: sort the sample once and precompute rank[i] = position of
-// xs[i] in the sorted order (ties broken by index, so ranks are a
-// strict total order refining the value order). A resample of values
-// then becomes a resample of ranks drawn with the *same* RNG calls, and
-// the k-th order statistic of the resample is sorted[k-th smallest
-// resampled rank] -- equal values share a value even though their ranks
-// differ, so ties cannot perturb the result. Each replicate costs one
-// selection + one linear scan instead of a full sort, and never
-// materializes a resample vector of doubles.
-//
-// The kernels live in stats::detail (shared with BootstrapEngine, the
-// multi-lane/threaded variant) and stats::selection_quantile
-// (selection.hpp). The ResampleStat overloads below delegate to a
-// single-lane engine: one code path, pinned bit-identical to the
-// callback reference by test_bootstrap.cpp.
-// ---------------------------------------------------------------------------
 
 namespace detail {
 
 void require_valid(std::span<const double> xs, std::size_t replicates) {
   if (xs.size() < 2) throw std::invalid_argument("bootstrap: need n >= 2");
   if (replicates == 0) throw std::invalid_argument("bootstrap: replicates >= 1");
-}
-
-void rank_into(std::span<const double> xs, std::vector<double>& sorted,
-               std::vector<std::uint32_t>& rank,
-               std::vector<std::uint32_t>& order_scratch) {
-  const std::size_t n = xs.size();
-  order_scratch.resize(n);
-  std::iota(order_scratch.begin(), order_scratch.end(), std::uint32_t{0});
-  std::sort(order_scratch.begin(), order_scratch.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (xs[a] != xs[b]) return xs[a] < xs[b];
-              return a < b;
-            });
-  sorted.resize(n);
-  rank.resize(n);
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    sorted[pos] = xs[order_scratch[pos]];
-    rank[order_scratch[pos]] = static_cast<std::uint32_t>(pos);
-  }
-}
-
-double loo_quantile(std::span<const double> sorted, std::size_t skip, double p,
-                    QuantileMethod method) {
-  const std::size_t m = sorted.size() - 1;
-  const auto at = [&](std::size_t pos) { return sorted[pos < skip ? pos : pos + 1]; };
-  if (m == 1) return at(0);
-  switch (method) {
-    case QuantileMethod::kR1InverseEcdf: {
-      if (p == 0.0) return at(0);
-      const auto idx = static_cast<std::size_t>(std::ceil(p * static_cast<double>(m))) - 1;
-      return at(std::min(idx, m - 1));
-    }
-    case QuantileMethod::kR6Weibull: {
-      const double h = (static_cast<double>(m) + 1.0) * p;
-      if (h <= 1.0) return at(0);
-      if (h >= static_cast<double>(m)) return at(m - 1);
-      const auto k = static_cast<std::size_t>(std::floor(h));
-      const double frac = h - static_cast<double>(k);
-      return at(k - 1) + frac * (at(k) - at(k - 1));
-    }
-    case QuantileMethod::kR7Linear: {
-      const double h = (static_cast<double>(m) - 1.0) * p;
-      const auto k = static_cast<std::size_t>(std::floor(h));
-      const double frac = h - static_cast<double>(k);
-      if (k + 1 >= m) return at(m - 1);
-      return at(k) + frac * (at(k + 1) - at(k));
-    }
-  }
-  throw std::logic_error("bootstrap: unknown quantile method");
-}
-
-void jackknife_mean_range(std::span<const double> xs, double* jack, std::size_t lo,
-                          std::size_t hi) noexcept {
-  const std::size_t n = xs.size();
-  for (std::size_t i = lo; i < hi; ++i) {
-    double sum = 0.0, comp = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      const double y = xs[j] - comp;
-      const double t = sum + y;
-      comp = (t - sum) - y;
-      sum = t;
-    }
-    jack[i] = sum / static_cast<double>(n - 1);
-  }
-}
-
-void jackknife_quantile_range(std::span<const double> sorted, const std::uint32_t* rank,
-                              double p, QuantileMethod method, double* jack,
-                              std::size_t lo, std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) {
-    jack[i] = loo_quantile(sorted, rank[i], p, method);
-  }
-}
-
-void fast_jackknife_into(std::span<const double> xs, const ResampleStat& stat,
-                         std::vector<double>& jack, std::vector<double>& sorted_scratch,
-                         std::vector<std::uint32_t>& rank_scratch,
-                         std::vector<std::uint32_t>& order_scratch) {
-  const std::size_t n = xs.size();
-  jack.resize(n);
-  if (stat.kind() == ResampleStat::Kind::kMean) {
-    jackknife_mean_range(xs, jack.data(), 0, n);
-  } else {
-    rank_into(xs, sorted_scratch, rank_scratch, order_scratch);
-    jackknife_quantile_range(sorted_scratch, rank_scratch.data(), stat.prob(),
-                             stat.method(), jack.data(), 0, n);
-  }
 }
 
 Interval bca_interval(std::span<const double> dist, double theta_hat,
@@ -162,31 +50,11 @@ Interval bca_interval(std::span<const double> dist, double theta_hat,
 
 }  // namespace detail
 
-namespace {
-
-/// Leave-one-out statistic values, generic path: materializes each loo
-/// vector and calls the statistic, exactly as before the fast path
-/// existed.
-template <typename Stat>
-std::vector<double> generic_jackknife(std::span<const double> xs, const Stat& statistic) {
-  const std::size_t n = xs.size();
-  std::vector<double> jack(n);
-  std::vector<double> loo;
-  loo.reserve(n - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    loo.clear();
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j != i) loo.push_back(xs[j]);
-    }
-    jack[i] = statistic(loo);
-  }
-  return jack;
-}
-
-}  // namespace
-
 ResampleStat ResampleStat::quantile(double p, QuantileMethod method) {
-  if (p < 0.0 || p > 1.0) throw std::domain_error("ResampleStat::quantile: p in [0,1]");
+  // Negated so NaN fails the test too.
+  if (!(p >= 0.0 && p <= 1.0)) {
+    throw std::domain_error("ResampleStat::quantile: p in [0,1]");
+  }
   ResampleStat s;
   s.kind_ = Kind::kQuantile;
   s.p_ = p;
@@ -204,61 +72,6 @@ double ResampleStat::evaluate(std::span<const double> xs) const {
       return fn_(xs);
   }
   throw std::logic_error("ResampleStat: unknown kind");
-}
-
-std::vector<double> bootstrap_distribution(std::span<const double> xs,
-                                           const Statistic& statistic,
-                                           std::size_t replicates, std::uint64_t seed) {
-  detail::require_valid(xs, replicates);
-  rng::Xoshiro256 gen(seed);
-  const std::size_t n = xs.size();
-  std::vector<double> resample(n);
-  std::vector<double> stats;
-  stats.reserve(replicates);
-  for (std::size_t r = 0; r < replicates; ++r) {
-    for (std::size_t i = 0; i < n; ++i) {
-      resample[i] = xs[static_cast<std::size_t>(rng::uniform_below(gen, n))];
-    }
-    stats.push_back(statistic(resample));
-  }
-  return stats;
-}
-
-std::vector<double> bootstrap_distribution(std::span<const double> xs,
-                                           const ResampleStat& statistic,
-                                           std::size_t replicates, std::uint64_t seed) {
-  // Single-lane engine == the historical scalar fast path, draw for draw.
-  return bootstrap_distribution(xs, statistic, replicates, seed, ExecPolicy{});
-}
-
-Interval bootstrap_percentile_ci(std::span<const double> xs, const Statistic& statistic,
-                                 std::size_t replicates, double confidence,
-                                 std::uint64_t seed) {
-  auto dist = bootstrap_distribution(xs, statistic, replicates, seed);
-  std::sort(dist.begin(), dist.end());
-  const double alpha = 1.0 - confidence;
-  return {quantile_sorted(dist, alpha / 2.0), quantile_sorted(dist, 1.0 - alpha / 2.0),
-          confidence};
-}
-
-Interval bootstrap_percentile_ci(std::span<const double> xs, const ResampleStat& statistic,
-                                 std::size_t replicates, double confidence,
-                                 std::uint64_t seed) {
-  return bootstrap_percentile_ci(xs, statistic, replicates, confidence, seed, ExecPolicy{});
-}
-
-Interval bootstrap_bca_ci(std::span<const double> xs, const Statistic& statistic,
-                          std::size_t replicates, double confidence, std::uint64_t seed) {
-  auto dist = bootstrap_distribution(xs, statistic, replicates, seed);
-  std::sort(dist.begin(), dist.end());
-  const double theta_hat = statistic(xs);
-  const auto jack = generic_jackknife(xs, statistic);
-  return detail::bca_interval(dist, theta_hat, jack, confidence);
-}
-
-Interval bootstrap_bca_ci(std::span<const double> xs, const ResampleStat& statistic,
-                          std::size_t replicates, double confidence, std::uint64_t seed) {
-  return bootstrap_bca_ci(xs, statistic, replicates, confidence, seed, ExecPolicy{});
 }
 
 }  // namespace sci::stats

@@ -3,16 +3,16 @@
 // natural extension for CIs of statistics with no analytic error theory
 // (trimmed means, CoV, quantile-regression coefficients, ...).
 //
-// Two statistic interfaces coexist:
-//   - Statistic: an opaque callable, evaluated on a materialized
-//     resample vector per replicate. Fully general, O(n log n) per
-//     replicate for rank statistics.
-//   - ResampleStat: a structural description (mean / quantile / custom)
-//     that lets bootstrap_* dispatch to kernels which sort the sample
-//     once and select order statistics per replicate (nth_element on
-//     resampled ranks, O(n) per replicate) without materializing a
-//     resample at all. Same seed => bit-identical results to the
-//     callback path (tested seed-for-seed in test_bootstrap.cpp).
+// A statistic is a ResampleStat: a structural description (mean,
+// p-quantile) or custom(fn) for an opaque callable. Naming the shape
+// lets the engine (bootstrap_engine.hpp) sort the sample once and
+// select order statistics on resampled ranks, O(n) per replicate,
+// without materializing a resample; custom statistics are evaluated on
+// a materialized resample. Each computation below has one entry point,
+// which runs on a BootstrapEngine with the given ExecPolicy. For a
+// fixed seed and lane count the result is bit-identical to evaluating
+// the statistic on materialized resamples (tests/oracle pins this seed
+// for seed).
 #pragma once
 
 #include <cstddef>
@@ -24,6 +24,7 @@
 
 #include "stats/confidence.hpp"  // Interval
 #include "stats/descriptive.hpp"  // QuantileMethod
+#include "stats/exec_policy.hpp"
 
 namespace sci::stats {
 
@@ -33,7 +34,7 @@ using Statistic = std::function<double(std::span<const double>)>;
 /// Structural description of a bootstrap statistic. Naming the shape
 /// (mean, p-quantile) instead of hiding it behind a callable is what
 /// unlocks the selection fast path; custom() keeps full generality at
-/// callback-path speed.
+/// materialized-resample speed.
 class ResampleStat {
  public:
   enum class Kind { kMean, kQuantile, kCustom };
@@ -44,6 +45,7 @@ class ResampleStat {
     return s;
   }
   [[nodiscard]] static ResampleStat median() { return quantile(0.5); }
+  /// Throws std::domain_error unless 0 <= p <= 1 (NaN included).
   [[nodiscard]] static ResampleStat quantile(double p,
                                              QuantileMethod method = QuantileMethod::kR7Linear);
   [[nodiscard]] static ResampleStat custom(Statistic fn) {
@@ -70,49 +72,32 @@ class ResampleStat {
 };
 
 /// Bootstrap distribution of `statistic` over `replicates` resamples
-/// with replacement. Deterministic for a fixed seed.
-[[nodiscard]] std::vector<double> bootstrap_distribution(std::span<const double> xs,
-                                                         const Statistic& statistic,
-                                                         std::size_t replicates,
-                                                         std::uint64_t seed = 0xb00f);
-
-/// Fast-path overload: mean/quantile statistics skip the per-replicate
-/// resample vector and sort (see header comment). Bit-identical to the
-/// Statistic overload for the same seed.
+/// with replacement. Deterministic for a fixed (seed, policy.lanes);
+/// policy.threads never changes the result.
 [[nodiscard]] std::vector<double> bootstrap_distribution(std::span<const double> xs,
                                                          const ResampleStat& statistic,
                                                          std::size_t replicates,
-                                                         std::uint64_t seed = 0xb00f);
+                                                         std::uint64_t seed = 0xb00f,
+                                                         const ExecPolicy& policy = {});
 
 /// Percentile-method CI: quantiles of the bootstrap distribution.
-[[nodiscard]] Interval bootstrap_percentile_ci(std::span<const double> xs,
-                                               const Statistic& statistic,
-                                               std::size_t replicates = 1000,
-                                               double confidence = 0.95,
-                                               std::uint64_t seed = 0xb00f);
-
 [[nodiscard]] Interval bootstrap_percentile_ci(std::span<const double> xs,
                                                const ResampleStat& statistic,
                                                std::size_t replicates = 1000,
                                                double confidence = 0.95,
-                                               std::uint64_t seed = 0xb00f);
+                                               std::uint64_t seed = 0xb00f,
+                                               const ExecPolicy& policy = {});
 
 /// BCa (bias-corrected and accelerated) CI; second-order accurate.
-/// Acceleration from jackknife influence values -- O(n^2) in statistic
-/// evaluations, so intended for small/medium n.
-[[nodiscard]] Interval bootstrap_bca_ci(std::span<const double> xs,
-                                        const Statistic& statistic,
-                                        std::size_t replicates = 1000,
-                                        double confidence = 0.95,
-                                        std::uint64_t seed = 0xb00f);
-
-/// BCa with structural statistics: the jackknife drops from O(n^2 log n)
-/// to O(n) for quantiles (each leave-one-out order statistic is an index
-/// shift in the sorted sample) and O(n^2) adds for the mean.
+/// Acceleration from jackknife influence values: O(n) for quantiles
+/// (each leave-one-out order statistic is an index shift in the sorted
+/// sample), O(n^2) adds for the mean, n evaluations on materialized
+/// leave-one-out vectors for custom statistics.
 [[nodiscard]] Interval bootstrap_bca_ci(std::span<const double> xs,
                                         const ResampleStat& statistic,
                                         std::size_t replicates = 1000,
                                         double confidence = 0.95,
-                                        std::uint64_t seed = 0xb00f);
+                                        std::uint64_t seed = 0xb00f,
+                                        const ExecPolicy& policy = {});
 
 }  // namespace sci::stats

@@ -1,7 +1,9 @@
 #include "stats/bootstrap_engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "rng/xoshiro.hpp"
@@ -13,6 +15,84 @@
 namespace sci::stats {
 
 namespace {
+
+/// Sorts `xs` into `sorted` and fills rank[i] = position of xs[i] in the
+/// sorted order (ties broken by index, so ranks are a strict total order
+/// refining the value order). A resample of values then becomes a
+/// resample of ranks drawn with the same RNG calls, and the k-th order
+/// statistic of the resample is sorted[k-th smallest resampled rank]:
+/// equal values share a value even though their ranks differ, so ties
+/// cannot perturb the result.
+void rank_into(std::span<const double> xs, std::vector<double>& sorted,
+               std::vector<std::uint32_t>& rank,
+               std::vector<std::uint32_t>& order_scratch) {
+  const std::size_t n = xs.size();
+  order_scratch.resize(n);
+  std::iota(order_scratch.begin(), order_scratch.end(), std::uint32_t{0});
+  std::sort(order_scratch.begin(), order_scratch.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              if (xs[a] != xs[b]) return xs[a] < xs[b];
+              return a < b;
+            });
+  sorted.resize(n);
+  rank.resize(n);
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    sorted[pos] = xs[order_scratch[pos]];
+    rank[order_scratch[pos]] = static_cast<std::uint32_t>(pos);
+  }
+}
+
+/// p-quantile of `sorted` with position `skip` removed, without copying.
+/// Mirrors quantile_sorted()'s per-method arithmetic term for term.
+double loo_quantile(std::span<const double> sorted, std::size_t skip, double p,
+                    QuantileMethod method) {
+  const std::size_t m = sorted.size() - 1;
+  const auto at = [&](std::size_t pos) { return sorted[pos < skip ? pos : pos + 1]; };
+  if (m == 1) return at(0);
+  switch (method) {
+    case QuantileMethod::kR1InverseEcdf: {
+      if (p == 0.0) return at(0);
+      const auto idx = static_cast<std::size_t>(std::ceil(p * static_cast<double>(m))) - 1;
+      return at(std::min(idx, m - 1));
+    }
+    case QuantileMethod::kR6Weibull: {
+      const double h = (static_cast<double>(m) + 1.0) * p;
+      if (h <= 1.0) return at(0);
+      if (h >= static_cast<double>(m)) return at(m - 1);
+      const auto k = static_cast<std::size_t>(std::floor(h));
+      const double frac = h - static_cast<double>(k);
+      return at(k - 1) + frac * (at(k) - at(k - 1));
+    }
+    case QuantileMethod::kR7Linear: {
+      const double h = (static_cast<double>(m) - 1.0) * p;
+      const auto k = static_cast<std::size_t>(std::floor(h));
+      const double frac = h - static_cast<double>(k);
+      if (k + 1 >= m) return at(m - 1);
+      return at(k) + frac * (at(k + 1) - at(k));
+    }
+  }
+  throw std::logic_error("bootstrap: unknown quantile method");
+}
+
+/// jack[i] = mean of xs with element i removed, for i in [lo, hi):
+/// Kahan over xs in original order skipping i -- the op sequence
+/// arithmetic_mean runs on the materialized loo vector. Each entry
+/// depends only on i, so any sharding produces the serial loop's bytes.
+void jackknife_mean_range(std::span<const double> xs, double* jack, std::size_t lo,
+                          std::size_t hi) noexcept {
+  const std::size_t n = xs.size();
+  for (std::size_t i = lo; i < hi; ++i) {
+    double sum = 0.0, comp = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == i) continue;
+      const double y = xs[j] - comp;
+      const double t = sum + y;
+      comp = (t - sum) - y;
+      sum = t;
+    }
+    jack[i] = sum / static_cast<double>(n - 1);
+  }
+}
 
 /// Kahan-sums one index row in draw order -- the exact op sequence
 /// arithmetic_mean performs on a materialized resample. Remainder lanes
@@ -85,11 +165,9 @@ void BootstrapEngine::distribution(std::span<const double> xs, const ResampleSta
 
   kernels_ = (n < kGatherIndexLimit) ? &simd::dispatch() : &simd::scalar_kernels();
   if (stat.kind() == ResampleStat::Kind::kQuantile) {
-    detail::rank_into(xs, sorted_, rank_, order_);
+    rank_into(xs, sorted_, rank_, order_);
     plan_ = make_quantile_plan(n, stat.prob(), stat.method());
-    const std::size_t crossover = histogram_select_crossover();
-    use_hist_ = crossover != 0 && n <= crossover &&
-                plan_.mode != QuantilePlan::Mode::kMin &&
+    use_hist_ = n <= kHistogramSelectMaxN && plan_.mode != QuantilePlan::Mode::kMin &&
                 plan_.mode != QuantilePlan::Mode::kMax;
     if (use_hist_) counts_.resize(lane_workers_ * n);
   } else if (stat.kind() == ResampleStat::Kind::kCustom) {
@@ -212,15 +290,15 @@ void BootstrapEngine::jackknife_range(std::size_t worker, std::size_t lo, std::s
   const std::size_t n = xs_.size();
   switch (stat_->kind()) {
     case ResampleStat::Kind::kMean:
-      detail::jackknife_mean_range(xs_, jack_.data(), lo, hi);
+      jackknife_mean_range(xs_, jack_.data(), lo, hi);
       break;
     case ResampleStat::Kind::kQuantile:
-      detail::jackknife_quantile_range(sorted_, rank_.data(), stat_->prob(),
-                                       stat_->method(), jack_.data(), lo, hi);
+      for (std::size_t i = lo; i < hi; ++i)
+        jack_[i] = loo_quantile(sorted_, rank_[i], stat_->prob(), stat_->method());
       break;
     case ResampleStat::Kind::kCustom: {
-      // Opaque callable: materialize each loo vector in worker-local
-      // scratch. Element order matches the legacy push_back loop.
+      // Opaque callable: materialize each loo vector (xs in order,
+      // skipping i) in worker-local scratch.
       double* loo = jack_loo_.data() + worker * (n - 1);
       for (std::size_t i = lo; i < hi; ++i) {
         std::size_t k = 0;

@@ -5,19 +5,20 @@
 // R%L) and lane l draws from Xoshiro256(seed) jumped l times. Threads
 // shard whole lanes, so for a fixed (data, statistic, replicates, seed,
 // lanes) the output vector is byte-identical at any thread count -- and
-// with lanes = 1 it is byte-identical to the legacy single-stream
-// scalar path (which now delegates here). Within a thread, lanes are
-// processed in waves of up to four: the index rows are filled lane by
-// lane, then consumed together (4-wide interleaved Kahan accumulation
-// for the mean). The wave tiling is pure instruction scheduling; it
-// never changes any per-lane draw or evaluation order.
+// with lanes = 1 it is byte-identical to evaluating the statistic on
+// materialized resamples drawn from one Xoshiro256(seed) stream. The
+// bootstrap_* entry points in bootstrap.hpp run here. Within a thread,
+// lanes are processed in waves of up to four: the index rows are filled
+// lane by lane, then consumed together (4-wide interleaved Kahan
+// accumulation for the mean). The wave tiling is pure instruction
+// scheduling; it never changes any per-lane draw or evaluation order.
 //
 // Hot kernels come from stats::simd::dispatch() (simd_dispatch.hpp):
 // AVX2 on hosts that have it, scalar elsewhere, bit-identical either
 // way. Quantile replicates use histogram rank selection
-// (histogram_select.hpp) when n is at or below the measured crossover
-// and the partition kernels above it; both consume one QuantilePlan,
-// so the switch affects speed only, never bytes.
+// (histogram_select.hpp) for n <= kHistogramSelectMaxN and the
+// partition kernels above it; both consume one QuantilePlan, so the
+// size rule affects speed only, never bytes.
 //
 // All scratch (sorted sample, rank permutation, index rows, resample
 // rows, distribution buffer) lives in reusable member buffers: after a
@@ -99,7 +100,7 @@ class BootstrapEngine {
   std::size_t rem_ = 0;   // replicates % lanes
   const simd::Kernels* kernels_ = nullptr;  // picked once per job
   QuantilePlan plan_;                       // kQuantile jobs
-  bool use_hist_ = false;                   // n <= histogram crossover
+  bool use_hist_ = false;                   // n <= kHistogramSelectMaxN
 
   // Reusable scratch.
   std::vector<double> sorted_;
@@ -112,24 +113,6 @@ class BootstrapEngine {
   std::vector<double> jack_;            // bca_ci
   std::vector<double> jack_loo_;        // bca_ci, kCustom: team_size x (n-1)
 };
-
-/// Policy-taking conveniences; ExecPolicy{} (or {1, 1}) is bit-identical
-/// to the policy-free overloads in bootstrap.hpp.
-[[nodiscard]] std::vector<double> bootstrap_distribution(std::span<const double> xs,
-                                                         const ResampleStat& statistic,
-                                                         std::size_t replicates,
-                                                         std::uint64_t seed,
-                                                         const ExecPolicy& policy);
-
-[[nodiscard]] Interval bootstrap_percentile_ci(std::span<const double> xs,
-                                               const ResampleStat& statistic,
-                                               std::size_t replicates, double confidence,
-                                               std::uint64_t seed, const ExecPolicy& policy);
-
-[[nodiscard]] Interval bootstrap_bca_ci(std::span<const double> xs,
-                                        const ResampleStat& statistic,
-                                        std::size_t replicates, double confidence,
-                                        std::uint64_t seed, const ExecPolicy& policy);
 
 /// Per-group percentile CIs with group-level thread fan-out (each group
 /// runs a serial engine with `policy.lanes` lanes; group g's stream seed

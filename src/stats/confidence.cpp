@@ -31,7 +31,7 @@ Interval quantile_confidence_interval_sorted(std::span<const double> sorted, dou
                                              double confidence) {
   const std::size_t n = sorted.size();
   if (n < 6) throw std::invalid_argument("quantile_confidence_interval: need n > 5");
-  if (p <= 0.0 || p >= 1.0)
+  if (!(p > 0.0 && p < 1.0))  // negated so NaN fails the test too
     throw std::domain_error("quantile_confidence_interval: p in (0,1)");
   const double alpha = 1.0 - confidence;
   const double z = inverse_normal_cdf(1.0 - alpha / 2.0);

@@ -114,7 +114,8 @@ std::vector<double> sorted_copy(std::span<const double> xs) {
 
 double quantile_sorted(std::span<const double> sorted, double p, QuantileMethod method) {
   require_nonempty(sorted, "quantile_sorted");
-  if (p < 0.0 || p > 1.0) throw std::domain_error("quantile: p in [0,1] required");
+  // Negated so NaN fails the test too.
+  if (!(p >= 0.0 && p <= 1.0)) throw std::domain_error("quantile: p in [0,1] required");
   const std::size_t n = sorted.size();
   if (n == 1) return sorted[0];
 

@@ -54,7 +54,8 @@ enum class QuantileMethod {
 [[nodiscard]] double quantile(std::span<const double> xs, double p,
                               QuantileMethod method = QuantileMethod::kR7Linear);
 
-/// p-quantile of data already sorted ascending (no copy).
+/// p-quantile of data already sorted ascending (no copy). Both quantile
+/// functions throw std::domain_error unless 0 <= p <= 1 (NaN included).
 [[nodiscard]] double quantile_sorted(std::span<const double> sorted, double p,
                                      QuantileMethod method = QuantileMethod::kR7Linear);
 

@@ -12,8 +12,8 @@
 // partition kernels force on it.
 //
 // Both kernels consume the same QuantilePlan and share the
-// `a + frac * (b - a)` interpolation verbatim, so switching on the
-// crossover never changes a byte -- pinned by differential tests.
+// `a + frac * (b - a)` interpolation verbatim, so the size rule below
+// never changes a byte -- pinned by differential tests.
 #pragma once
 
 #include <cstddef>
@@ -25,15 +25,14 @@
 
 namespace sci::stats {
 
-/// Largest sample size n for which the engine prefers histogram
-/// selection over partition selection. Default chosen by measurement
-/// (bench_stats_parallel --crossover; table in DESIGN.md). 0 disables
-/// the histogram path entirely.
-[[nodiscard]] std::size_t histogram_select_crossover() noexcept;
-
-/// Test/bench override for the crossover. Affects speed only, never
-/// bytes.
-void set_histogram_select_crossover(std::size_t n) noexcept;
+/// Size rule: the engine selects quantile replicates by histogram for
+/// n <= kHistogramSelectMaxN and by partition above it. This is the
+/// largest n at which histogram selection won every run of the sweep
+/// (bench_stats_parallel --crossover; table in
+/// bench/RESULTS_stats_parallel.md); there its 4-byte bins fill 2 MiB,
+/// the per-core L2 of the measured host. At 2^20 the kernels tie and
+/// from 2^21 partition wins. Speed only, never bytes.
+inline constexpr std::size_t kHistogramSelectMaxN = std::size_t{1} << 19;
 
 /// p-quantile (per `plan`) of the resample whose sorted-sample ranks
 /// are in `row`. `counts` is caller-owned scratch with

@@ -1,8 +1,8 @@
 // Branchless order-statistic selection over u32 keys -- the bootstrap
-// resample kernel. The selection fast path (bootstrap.cpp) reduces each
-// quantile replicate to "k-th smallest of n resampled ranks"; on random
-// rank data std::nth_element's branchy partition mispredicts ~every
-// second element, which dominates the replicate cost. These kernels use
+// resample kernel. The bootstrap engine (bootstrap_engine.cpp) reduces
+// each quantile replicate to "k-th smallest of n resampled ranks"; on
+// random rank data std::nth_element's branchy partition mispredicts
+// ~every second element, which dominates the replicate cost. These kernels use
 // a cmov-friendly Lomuto partition (unconditional swap + predicated
 // store-index advance, no branches on data) with three-way pivot
 // handling so duplicate-heavy resamples cannot degrade quadratically.
@@ -65,8 +65,7 @@ struct QuantilePlan {
 /// p-quantile of the resample whose sorted-sample ranks are in `picks`
 /// (destroyed by selection). Mirrors quantile_sorted() term for term per
 /// method, so results are bit-identical to evaluating the quantile on a
-/// materialized resample. Shared by the scalar fast path and the
-/// multi-lane engine.
+/// materialized resample.
 [[nodiscard]] double selection_quantile(std::span<std::uint32_t> picks,
                                         std::span<const double> sorted, double p,
                                         QuantileMethod method);

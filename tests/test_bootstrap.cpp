@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
+#include "oracle/bootstrap_reference.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 #include "stats/bootstrap.hpp"
@@ -20,7 +22,7 @@ std::vector<double> normal_sample(std::size_t n, std::uint64_t seed) {
 
 TEST(Bootstrap, DeterministicForFixedSeed) {
   const auto v = normal_sample(40, 1);
-  const auto mean_stat = [](std::span<const double> xs) { return arithmetic_mean(xs); };
+  const auto mean_stat = ResampleStat::mean();
   const auto d1 = bootstrap_distribution(v, mean_stat, 200, 7);
   const auto d2 = bootstrap_distribution(v, mean_stat, 200, 7);
   EXPECT_EQ(d1, d2);
@@ -30,7 +32,7 @@ TEST(Bootstrap, DeterministicForFixedSeed) {
 
 TEST(Bootstrap, PercentileCiCloseToParametricOnNormalData) {
   const auto v = normal_sample(100, 2);
-  const auto mean_stat = [](std::span<const double> xs) { return arithmetic_mean(xs); };
+  const auto mean_stat = ResampleStat::mean();
   const auto boot = bootstrap_percentile_ci(v, mean_stat, 2000, 0.95, 3);
   const auto param = mean_confidence_interval(v, 0.95);
   EXPECT_NEAR(boot.lower, param.lower, 0.35);
@@ -39,8 +41,7 @@ TEST(Bootstrap, PercentileCiCloseToParametricOnNormalData) {
 
 TEST(Bootstrap, CiContainsPointEstimate) {
   const auto v = normal_sample(60, 4);
-  const auto med = [](std::span<const double> xs) { return median(xs); };
-  const auto ci = bootstrap_percentile_ci(v, med, 500, 0.95, 5);
+  const auto ci = bootstrap_percentile_ci(v, ResampleStat::median(), 500, 0.95, 5);
   const double point = median(v);
   EXPECT_LE(ci.lower, point);
   EXPECT_GE(ci.upper, point);
@@ -50,7 +51,7 @@ TEST(Bootstrap, CoverageOfMeanCi) {
   // Percentile bootstrap 90% CIs should cover the true mean ~90%.
   int covered = 0;
   constexpr int kTrials = 200;
-  const auto mean_stat = [](std::span<const double> xs) { return arithmetic_mean(xs); };
+  const auto mean_stat = ResampleStat::mean();
   for (int t = 0; t < kTrials; ++t) {
     const auto v = normal_sample(40, 1000 + t);
     covered += bootstrap_percentile_ci(v, mean_stat, 400, 0.90, t).contains(50.0);
@@ -66,7 +67,7 @@ TEST(Bootstrap, BcaCorrectsSkew) {
   rng::Xoshiro256 gen(6);
   std::vector<double> v;
   for (int i = 0; i < 50; ++i) v.push_back(rng::lognormal(gen, 0.0, 1.0));
-  const auto mean_stat = [](std::span<const double> xs) { return arithmetic_mean(xs); };
+  const auto mean_stat = ResampleStat::mean();
   const auto naive = bootstrap_percentile_ci(v, mean_stat, 1000, 0.95, 9);
   const auto bca = bootstrap_bca_ci(v, mean_stat, 1000, 0.95, 9);
   EXPECT_GT(bca.upper, bca.lower);
@@ -75,21 +76,29 @@ TEST(Bootstrap, BcaCorrectsSkew) {
 }
 
 TEST(Bootstrap, InputValidation) {
-  const auto mean_stat = [](std::span<const double> xs) { return arithmetic_mean(xs); };
-  EXPECT_THROW(bootstrap_distribution(std::vector<double>{1.0}, mean_stat, 10),
-               std::invalid_argument);
+  const auto mean_fn = [](std::span<const double> xs) { return arithmetic_mean(xs); };
   const std::vector<double> v = {1.0, 2.0, 3.0};
-  EXPECT_THROW(bootstrap_distribution(v, mean_stat, 0), std::invalid_argument);
   EXPECT_THROW(bootstrap_distribution(std::vector<double>{1.0}, ResampleStat::mean(), 10),
                std::invalid_argument);
   EXPECT_THROW(bootstrap_distribution(v, ResampleStat::median(), 0), std::invalid_argument);
+  const std::vector<double> one = {1.0};
+  EXPECT_THROW(bootstrap_distribution(one, ResampleStat::custom(mean_fn), 10),
+               std::invalid_argument);
+  EXPECT_THROW(bootstrap_distribution(v, ResampleStat::custom(mean_fn), 0),
+               std::invalid_argument);
   EXPECT_THROW(ResampleStat::quantile(-0.1), std::domain_error);
   EXPECT_THROW(ResampleStat::quantile(1.5), std::domain_error);
+  EXPECT_THROW(ResampleStat::quantile(std::numeric_limits<double>::quiet_NaN()),
+               std::domain_error);
+  EXPECT_THROW(ResampleStat::quantile(std::numeric_limits<double>::quiet_NaN(),
+                                      QuantileMethod::kR1InverseEcdf),
+               std::domain_error);
 }
 
 // ---------------------------------------------------------------------------
-// Selection fast path vs generic callback path: the contract is exact,
-// seed-for-seed, bit-for-bit equality -- not statistical closeness.
+// Selection fast path vs the materializing oracle (tests/oracle): the
+// contract is exact, seed-for-seed, bit-for-bit equality -- not
+// statistical closeness.
 // ---------------------------------------------------------------------------
 
 /// (fast statistic, equivalent opaque callback) pairs under test.
@@ -143,7 +152,7 @@ TEST(BootstrapFastPath, DistributionBitIdenticalToGenericPath) {
     for (const auto& pair : stat_pairs()) {
       for (std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{0xb00f}}) {
         const auto fast = bootstrap_distribution(xs, pair.fast, 300, seed);
-        const auto slow = bootstrap_distribution(xs, pair.generic, 300, seed);
+        const auto slow = oracle::bootstrap_distribution(xs, pair.generic, 300, seed);
         ASSERT_EQ(fast, slow) << pair.name << " seed " << seed << " n " << xs.size();
       }
     }
@@ -154,7 +163,7 @@ TEST(BootstrapFastPath, PercentileCiBitIdenticalToGenericPath) {
   for (const auto& xs : equality_fixtures()) {
     for (const auto& pair : stat_pairs()) {
       const auto fast = bootstrap_percentile_ci(xs, pair.fast, 400, 0.95, 21);
-      const auto slow = bootstrap_percentile_ci(xs, pair.generic, 400, 0.95, 21);
+      const auto slow = oracle::bootstrap_percentile_ci(xs, pair.generic, 400, 0.95, 21);
       EXPECT_EQ(fast.lower, slow.lower) << pair.name;
       EXPECT_EQ(fast.upper, slow.upper) << pair.name;
     }
@@ -165,7 +174,7 @@ TEST(BootstrapFastPath, BcaCiBitIdenticalToGenericPath) {
   for (const auto& xs : equality_fixtures()) {
     for (const auto& pair : stat_pairs()) {
       const auto fast = bootstrap_bca_ci(xs, pair.fast, 400, 0.95, 31);
-      const auto slow = bootstrap_bca_ci(xs, pair.generic, 400, 0.95, 31);
+      const auto slow = oracle::bootstrap_bca_ci(xs, pair.generic, 400, 0.95, 31);
       EXPECT_EQ(fast.lower, slow.lower) << pair.name;
       EXPECT_EQ(fast.upper, slow.upper) << pair.name;
     }
@@ -173,15 +182,14 @@ TEST(BootstrapFastPath, BcaCiBitIdenticalToGenericPath) {
 }
 
 TEST(BootstrapFastPath, SmallSamplesAndOddReplicateCountsStayBitIdentical) {
-  // Edge shapes for the engine the fast path now delegates to: n below
-  // the 4-wide wave width, replicate counts that don't divide evenly,
-  // and a single replicate.
+  // Edge shapes for the engine: n below the 4-wide wave width,
+  // replicate counts that don't divide evenly, and a single replicate.
   for (const std::size_t n : {2u, 3u, 5u}) {
     const auto xs = normal_sample(n, 70 + n);
     for (const auto& pair : stat_pairs()) {
       for (const std::size_t replicates : {1u, 7u, 33u}) {
         const auto fast = bootstrap_distribution(xs, pair.fast, replicates, 23);
-        const auto slow = bootstrap_distribution(xs, pair.generic, replicates, 23);
+        const auto slow = oracle::bootstrap_distribution(xs, pair.generic, replicates, 23);
         ASSERT_EQ(fast, slow) << pair.name << " n " << n << " R " << replicates;
       }
     }
@@ -194,7 +202,7 @@ TEST(BootstrapFastPath, CustomKindMatchesStatisticOverloadExactly) {
     return coefficient_of_variation(xs);
   };
   const auto via_custom = bootstrap_bca_ci(v, ResampleStat::custom(cov), 300, 0.95, 5);
-  const auto via_statistic = bootstrap_bca_ci(v, cov, 300, 0.95, 5);
+  const auto via_statistic = oracle::bootstrap_bca_ci(v, cov, 300, 0.95, 5);
   EXPECT_EQ(via_custom.lower, via_statistic.lower);
   EXPECT_EQ(via_custom.upper, via_statistic.upper);
 }

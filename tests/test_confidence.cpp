@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "rng/distributions.hpp"
@@ -81,6 +83,13 @@ TEST(MedianCI, BoundsAreObservedValues) {
 TEST(QuantileCI, RequiresEnoughSamples) {
   const std::vector<double> v = {1, 2, 3, 4, 5};
   EXPECT_THROW((void)quantile_confidence_interval(v, 0.5), std::invalid_argument);
+}
+
+TEST(QuantileCI, RejectsPOutsideOpenUnitIntervalIncludingNaN) {
+  const std::vector<double> v = {1, 2, 3, 4, 5, 6, 7, 8};
+  for (const double p : {0.0, 1.0, -0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW((void)quantile_confidence_interval(v, p), std::domain_error) << p;
+  }
 }
 
 TEST(QuantileCI, TailQuantileAsymmetric) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -105,6 +106,16 @@ TEST_P(QuantileMethods, ExtremesAreMinMax) {
   const std::vector<double> v = {4.0, -1.0, 2.5, 8.0};
   EXPECT_EQ(quantile(v, 0.0, GetParam()), -1.0);
   EXPECT_EQ(quantile(v, 1.0, GetParam()), 8.0);
+}
+
+TEST_P(QuantileMethods, RejectsPOutsideUnitIntervalIncludingNaN) {
+  const std::vector<double> v = {4.0, -1.0, 2.5, 8.0};
+  const std::vector<double> sorted = {-1.0, 2.5, 4.0, 8.0};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double p : {-0.1, 1.1, nan, -nan}) {
+    EXPECT_THROW((void)quantile(v, p, GetParam()), std::domain_error) << p;
+    EXPECT_THROW((void)quantile_sorted(sorted, p, GetParam()), std::domain_error) << p;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, QuantileMethods,

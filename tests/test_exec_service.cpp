@@ -13,13 +13,16 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exec/interrupt.hpp"
@@ -341,11 +344,93 @@ TEST(CampaignService, DedupesIdenticalSubmissionsAcrossClients) {
   EXPECT_TRUE(sink_a.saw("\"event\": \"done\""));
   EXPECT_TRUE(sink_b.saw("\"deduped\": true"));
 
+  // Only cells that reached a worker count as executed: every requested
+  // cell is either executed or deduped, never both.
+  EXPECT_EQ(out_a.executed, out_a.cells);
+  EXPECT_EQ(out_b.executed, 0u);
   const obs::DaemonMetrics metrics = service.metrics();
   EXPECT_EQ(metrics.jobs_submitted, 2u);
   EXPECT_EQ(metrics.jobs_completed, 2u);
   EXPECT_EQ(metrics.cells_deduped, out_b.deduped);
+  EXPECT_EQ(metrics.cells_executed + metrics.cells_deduped, out_a.cells + out_b.cells);
   EXPECT_GE(metrics.workers_spawned, 2u);
+}
+
+/// Counts on_event calls that overlap another call on the same sink and
+/// records (job, event) in arrival order. The sleep widens the window a
+/// racing caller would have to hit.
+class OverlapSink : public ServiceEventSink {
+ public:
+  void on_event(const std::string& line) override {
+    if (in_call_.fetch_add(1) != 0) overlaps_.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      events_.emplace_back(field(line, "\"job\": "), field(line, "\"event\": \""));
+    }
+    in_call_.fetch_sub(1);
+  }
+  [[nodiscard]] std::size_t overlaps() const { return overlaps_.load(); }
+  /// Event names of `job`, in the order the sink received them.
+  [[nodiscard]] std::vector<std::string> events_of(std::uint64_t job) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<std::string> out;
+    for (const auto& [id, event] : events_) {
+      if (id == std::to_string(job)) out.push_back(event);
+    }
+    return out;
+  }
+
+ private:
+  /// The token after `key`, up to the next ',', '"' or '}'.
+  static std::string field(const std::string& line, const std::string& key) {
+    const std::size_t at = line.find(key);
+    if (at == std::string::npos) return {};
+    const std::size_t from = at + key.size();
+    return line.substr(from, line.find_first_of(",\"}", from) - from);
+  }
+
+  std::atomic<int> in_call_{0};
+  std::atomic<std::size_t> overlaps_{0};
+  mutable std::mutex mutex_;
+  std::vector<std::pair<std::string, std::string>> events_;
+};
+
+TEST(CampaignService, SinkCallsNeverOverlapAndQueuedComesFirst) {
+  // Several clients submit concurrently, each several jobs through one
+  // sink, while the service thread streams the running job's events:
+  // no sink may see two calls at once, and every job's stream must
+  // open with "queued" and close with "done".
+  ProcessPool pool(pool_options(2));
+  CampaignService service(pool);
+  constexpr std::size_t kClients = 6;
+  constexpr std::size_t kJobsPerClient = 4;
+  std::vector<OverlapSink> sinks(kClients);
+  std::vector<std::vector<std::uint64_t>> ids(kClients);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (std::size_t j = 0; j < kJobsPerClient; ++j) {
+        Submission sub;
+        sub.spec = grid_spec("svc_sink_" + std::to_string(j));
+        sub.backend = small_sim_options();
+        ids[c].push_back(service.submit(sub, &sinks[c]));
+      }
+      for (const std::uint64_t id : ids[c]) (void)service.wait(id);
+    });
+  }
+  for (auto& t : clients) t.join();
+
+  for (std::size_t c = 0; c < kClients; ++c) {
+    EXPECT_EQ(sinks[c].overlaps(), 0u) << "client " << c;
+    for (const std::uint64_t id : ids[c]) {
+      const auto events = sinks[c].events_of(id);
+      ASSERT_GE(events.size(), 3u) << "job " << id;
+      EXPECT_EQ(events.front(), "queued") << "job " << id;
+      EXPECT_EQ(events[1], "started") << "job " << id;
+      EXPECT_EQ(events.back(), "done") << "job " << id;
+    }
+  }
 }
 
 TEST(CampaignService, RejectsInvalidSpecWithoutDying) {

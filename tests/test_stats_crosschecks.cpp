@@ -59,8 +59,7 @@ TEST(CrossCheck, BootstrapMedianCiAgreesWithRankCi) {
   std::vector<double> v;
   for (int i = 0; i < 200; ++i) v.push_back(rng::lognormal(gen, 1.0, 0.6));
   const auto rank_ci = median_confidence_interval(v, 0.90);
-  const auto boot_ci = bootstrap_percentile_ci(
-      v, [](std::span<const double> xs) { return median(xs); }, 2000, 0.90, 5);
+  const auto boot_ci = bootstrap_percentile_ci(v, ResampleStat::median(), 2000, 0.90, 5);
   // Same center, comparable widths (within 2x of each other).
   EXPECT_TRUE(rank_ci.contains(median(v)));
   EXPECT_TRUE(boot_ci.contains(median(v)));

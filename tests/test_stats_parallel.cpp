@@ -3,8 +3,8 @@
 // BootstrapEngine's thread/lane determinism contract, and the grouped
 // policy-taking entry points.
 //
-// The oracle throughout is a deliberately naive scalar reference: lane
-// l draws from Xoshiro256(seed) jumped l times and evaluates each
+// The oracle throughout is the materializing reference in tests/oracle:
+// lane l draws from Xoshiro256(seed) jumped l times and evaluates each
 // replicate on a materialized resample. The engine -- waves, selection,
 // Kahan rows, thread sharding -- must reproduce it bit for bit at every
 // thread count.
@@ -17,11 +17,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <limits>
 #include <new>
 #include <span>
 #include <vector>
 
+#include "oracle/bootstrap_reference.hpp"
 #include "rng/distributions.hpp"
 #include "rng/lanes.hpp"
 #include "rng/xoshiro.hpp"
@@ -60,36 +60,6 @@ std::vector<double> lognormal_sample(std::size_t n, std::uint64_t seed) {
   v.reserve(n);
   for (std::size_t i = 0; i < n; ++i) v.push_back(rng::lognormal(gen, 0.0, 0.7));
   return v;
-}
-
-/// The naive multi-lane oracle: contiguous per-lane replicate blocks,
-/// lane l = Xoshiro256(seed) jumped l times, every replicate evaluated
-/// on a materialized resample. No waves, no selection, no threads.
-std::vector<double> reference_multilane(std::span<const double> xs, const Statistic& stat,
-                                        std::size_t replicates, std::uint64_t seed,
-                                        std::size_t lanes) {
-  rng::Xoshiro256 root(seed);
-  std::vector<rng::Xoshiro256> gens;
-  for (std::size_t l = 0; l < lanes; ++l) gens.push_back(root.split());
-
-  const std::size_t n = xs.size();
-  const std::size_t base = replicates / lanes;
-  const std::size_t rem = replicates % lanes;
-  std::vector<double> out(replicates);
-  std::vector<double> resample(n);
-  std::size_t start = 0;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    const std::size_t len = base + (l < rem ? 1 : 0);
-    auto& gen = gens[l];
-    for (std::size_t r = 0; r < len; ++r) {
-      for (std::size_t i = 0; i < n; ++i) {
-        resample[i] = xs[rng::uniform_below(gen, n)];
-      }
-      out[start + r] = stat(resample);
-    }
-    start += len;
-  }
-  return out;
 }
 
 struct StatCase {
@@ -224,14 +194,10 @@ TEST(Selection, SelectionQuantileMatchesMaterializedResample) {
 
 // ------------------------------------- SIMD dispatch + histogram path
 
-/// Restores the dispatch override and the histogram crossover no matter
-/// how a test exits, so ISA/crossover state never leaks between tests.
+/// Restores the dispatch override no matter how a test exits, so ISA
+/// state never leaks between tests.
 struct KernelStateGuard {
-  std::size_t saved_crossover = histogram_select_crossover();
-  ~KernelStateGuard() {
-    simd::reset_isa();
-    set_histogram_select_crossover(saved_crossover);
-  }
+  ~KernelStateGuard() { simd::reset_isa(); }
 };
 
 TEST(SimdDispatch, ForceIsaOverridesAndCapsAtHostSupport) {
@@ -308,7 +274,7 @@ TEST(SimdDispatch, RankSelectMatchesExpandedMultisetAcrossIsaTables) {
 TEST(HistogramSelect, MatchesPartitionSelectionAndMaterializedQuantile) {
   // Three-way differential per (n, m, p, method): histogram select under
   // both kernel tables == partition select == quantile() on the
-  // materialized resample. This is the crossover's byte-safety proof.
+  // materialized resample. This is the size rule's byte-safety proof.
   rng::Xoshiro256 gen(21);
   for (const std::size_t n : {2u, 3u, 8u, 24u, 57u, 256u}) {
     const auto sorted = sorted_copy(lognormal_sample(n, 500 + n));
@@ -368,30 +334,22 @@ TEST(BootstrapEngine, IsaForcedOffIsByteIdenticalAcrossLanesAndReplicates) {
   }
 }
 
-TEST(BootstrapEngine, HistogramCrossoverNeverChangesBytes) {
-  // The crossover is a speed knob only: force the histogram path off
-  // (0) and always-on (max) and require identical distributions,
-  // including the kMin/kMax plans the histogram path routes to min/max
-  // scans.
-  KernelStateGuard guard;
-  const ResampleStat stats[] = {
-      ResampleStat::median(), ResampleStat::quantile(0.9, QuantileMethod::kR6Weibull),
-      ResampleStat::quantile(0.25, QuantileMethod::kR1InverseEcdf),
-      ResampleStat::quantile(0.0, QuantileMethod::kR7Linear),
-      ResampleStat::quantile(1.0, QuantileMethod::kR7Linear)};
-  for (const std::size_t n : {2u, 23u, 300u}) {
-    const auto xs = lognormal_sample(n, 1100 + n);
-    for (const ResampleStat& stat : stats) {
-      set_histogram_select_crossover(0);
-      std::vector<double> partition_out;
-      BootstrapEngine off(ExecPolicy{1, 4});
-      off.distribution(xs, stat, 101, 23, partition_out);
-
-      set_histogram_select_crossover(std::numeric_limits<std::size_t>::max());
-      std::vector<double> histogram_out;
-      BootstrapEngine on(ExecPolicy{1, 4});
-      on.distribution(xs, stat, 101, 23, histogram_out);
-      ASSERT_EQ(histogram_out, partition_out) << "n=" << n;
+TEST(BootstrapEngine, HistogramSizeRuleMatchesOracleAtThreshold) {
+  // The engine selects by histogram at n = kHistogramSelectMaxN and by
+  // partition one element later; both sides of the size rule must
+  // reproduce the materializing oracle. One replicate (the oracle sorts
+  // a 2^19-element resample per replicate) of an already sorted sample
+  // (the engine's rank sort is then cheap; ranks are exercised at
+  // small n by the tests above).
+  for (const std::size_t n : {kHistogramSelectMaxN, kHistogramSelectMaxN + 1}) {
+    const auto xs = sorted_copy(lognormal_sample(n, 1100 + n));
+    for (const auto& sc : stat_cases()) {
+      if (sc.fast.kind() != ResampleStat::Kind::kQuantile) continue;
+      BootstrapEngine engine;
+      std::vector<double> got;
+      engine.distribution(xs, sc.fast, 1, 23, got);
+      ASSERT_EQ(got, oracle::bootstrap_distribution(xs, sc.generic, 1, 23))
+          << sc.name << " n=" << n;
     }
   }
 }
@@ -411,7 +369,7 @@ TEST(BootstrapEngine, MatchesScalarReferenceAtEveryThreadAndLaneCount) {
       for (const std::size_t replicates : {1u, 7u, 33u}) {
         for (const std::size_t lanes : {1u, 2u, 3u, 8u}) {
           const auto want =
-              reference_multilane(xs, sc.generic, replicates, 17, lanes);
+              oracle::bootstrap_distribution(xs, sc.generic, replicates, 17, lanes);
           for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
             BootstrapEngine engine(ExecPolicy{threads, lanes});
             std::vector<double> got;
@@ -426,13 +384,16 @@ TEST(BootstrapEngine, MatchesScalarReferenceAtEveryThreadAndLaneCount) {
 }
 
 TEST(BootstrapEngine, SingleLaneIsByteIdenticalToLegacyEntryPoints) {
-  // lanes = 1 at any thread count == the historical single-stream path,
-  // through the free-function conveniences as callers use them.
+  // lanes = 1 at any thread count == the single-stream materializing
+  // oracle, through the entry points as callers use them (default
+  // policy and explicit policies).
   const auto xs = lognormal_sample(31, 5);
   for (const auto& sc : stat_cases()) {
-    const auto legacy = bootstrap_distribution(xs, sc.fast, 250, 0xb00f);
-    const auto legacy_ci = bootstrap_percentile_ci(xs, sc.fast, 250, 0.95, 0xb00f);
-    const auto legacy_bca = bootstrap_bca_ci(xs, sc.fast, 250, 0.95, 0xb00f);
+    const auto legacy = oracle::bootstrap_distribution(xs, sc.generic, 250, 0xb00f);
+    const auto legacy_ci =
+        oracle::bootstrap_percentile_ci(xs, sc.generic, 250, 0.95, 0xb00f);
+    const auto legacy_bca = oracle::bootstrap_bca_ci(xs, sc.generic, 250, 0.95, 0xb00f);
+    EXPECT_EQ(bootstrap_distribution(xs, sc.fast, 250), legacy) << sc.name;
     for (const std::size_t threads : {1u, 4u}) {
       const ExecPolicy policy{threads, 1};
       EXPECT_EQ(bootstrap_distribution(xs, sc.fast, 250, 0xb00f, policy), legacy)
