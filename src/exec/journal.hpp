@@ -1,36 +1,43 @@
 // CampaignJournal: append-only on-disk record of completed campaign
 // cells, giving CampaignRunner crash-safe checkpoint/resume.
 //
-// The journal is a text file with one header line and one line per
-// finished cell (successful OR failed -- both outcomes are final; only
-// interrupted cells are withheld so a resume retries them). Every
-// append is fflush()ed before the runner moves on, so after a crash or
-// kill the file holds every cell whose record write completed plus at
-// most one torn line at the tail; the reader drops the torn tail and
-// the resumed run simply re-executes that cell.
+// The journal is a file of canonical JSON lines (obs/json.hpp): one
+// header line, then one line per finished cell (successful OR failed --
+// both outcomes are final; only interrupted cells are withheld so a
+// resume retries them). Every append is fflush()ed before the runner
+// moves on, so after a crash or kill the file holds every cell whose
+// record write completed plus at most one torn line at the tail; a
+// torn line lacks its closing brace, fails to parse, and is skipped on
+// replay, so the resumed run simply re-executes that cell.
 //
-// Byte-exactness: sample values are stored as 16-hex-digit IEEE-754 bit
-// patterns, not decimal, so a journal round-trip reproduces the exact
-// doubles the backend emitted and resumed campaigns export CSVs that
-// are byte-identical to an uninterrupted run (pinned by
-// tests/test_exec_resilience.cpp).
+//   {"schema": "scibench.journal", "version": 3, "fingerprint": "<hex>"}
+//   {"kind": "cell", "config": C, "rep": R, "seed": "<hex>",
+//    "attempts": A, "result": <scibench.cell object>}
+//   {"kind": "stop", "config": C, "reps": N, "reason": "..."}
+//
+// (each record is one line in the file). Byte-exactness: "result" is
+// the exact object exec/wire.hpp sends between workers and the pool,
+// samples as 16-hex-digit IEEE-754 bit patterns, so a journal
+// round-trip reproduces the exact doubles the backend emitted and
+// resumed campaigns export CSVs that are byte-identical to an
+// uninterrupted run (pinned by tests/test_exec_resilience.cpp).
 //
 // Identity: the header carries a fingerprint of (campaign name, seed,
 // replications, config count, backend name) -- plus the stopping-policy
 // description for sequential campaigns, so a journal written under a
 // different CI target or rep bounds refuses to resume. Opening a
 // journal written by a different campaign or backend throws instead of
-// silently serving wrong cells. Within a journal, records are keyed by
-// (config_index, rep) and additionally carry the cell seed; a record
-// whose seed disagrees with the requested cell (e.g. the campaign
-// gained a seed_override) is ignored rather than trusted.
+// silently serving wrong cells, and so does opening a journal in the
+// retired text format (versions 1 and 2). Within a journal, records are
+// keyed by (config_index, rep) and additionally carry the cell seed; a
+// record whose seed disagrees with the requested cell (e.g. the
+// campaign gained a seed_override) is ignored rather than trusted.
 //
-// Format v2 (current; v1 journals still replay) adds per-config stop
-// records: "stop <config> <reps> <reason> ok", appended when a
-// sequential campaign retires a config. On resume the runner recomputes
-// each stop decision from the replayed samples -- the decisions are
-// deterministic, so the journaled record acts as a cross-run
-// consistency check (mismatch throws) rather than a directive.
+// Stop records are appended when a sequential campaign retires a
+// config. On resume the runner recomputes each stop decision from the
+// replayed samples -- the decisions are deterministic, so the journaled
+// record acts as a cross-run consistency check (mismatch throws) rather
+// than a directive.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +54,9 @@ namespace sci::exec {
 class CampaignJournal {
  public:
   /// Opens (or creates) the journal at `path`, replaying any existing
-  /// records. Throws std::runtime_error when the file exists but its
-  /// fingerprint does not match, or when it cannot be opened/created.
+  /// records. Throws std::runtime_error when the file exists but is not
+  /// a current-version journal or its fingerprint does not match, or
+  /// when it cannot be opened/created.
   CampaignJournal(std::string path, std::uint64_t fingerprint);
   ~CampaignJournal();
 
@@ -85,8 +93,7 @@ class CampaignJournal {
   /// Campaign/backend identity hash written into the journal header:
   /// splitmix64 chained over the campaign name, seed, replications,
   /// config count, and backend name -- plus the stopping-policy
-  /// description for sequential campaigns (fixed-mode fingerprints are
-  /// unchanged from v1).
+  /// description for sequential campaigns.
   [[nodiscard]] static std::uint64_t fingerprint(const Campaign& campaign,
                                                  const std::string& backend_name);
 
@@ -94,6 +101,10 @@ class CampaignJournal {
   std::string path_;
   std::FILE* file_ = nullptr;
   mutable std::mutex mutex_;
+  /// Encode buffer reused by every append (guarded by mutex_): a cell
+  /// line is ~20 bytes per sample, and a fresh buffer per append churns
+  /// the workers' heaps while they run cells.
+  std::string line_;
   /// (config_index, rep) -> (seed, result).
   std::map<std::pair<std::size_t, std::size_t>, std::pair<std::uint64_t, CellResult>>
       records_;

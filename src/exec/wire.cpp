@@ -1,5 +1,6 @@
 #include "exec/wire.hpp"
 
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -29,6 +30,18 @@ void check_schema(const json::Value& root, const char* schema) {
     throw std::runtime_error("wire: unsupported version for schema \"" +
                              std::string(schema) + "\"");
   }
+}
+
+/// Appends `bits` as a quoted 16-digit hex string without building a
+/// temporary: this is the per-sample step of append_cell_result.
+void append_quoted_hex(std::string& out, std::uint64_t bits) {
+  char text[18];
+  text[0] = text[17] = '"';
+  for (int i = 16; i >= 1; --i) {
+    text[i] = kHexDigits[bits & 0xf];
+    bits >>= 4;
+  }
+  out.append(text, sizeof text);
 }
 
 void append_backend(std::string& out, const SimBackendOptions& b) {
@@ -306,9 +319,11 @@ JobSpec parse_job_json(std::string_view text) {
   return job;
 }
 
-std::string cell_result_to_json(const CellResult& result) {
-  std::string out;
-  out.reserve(64 + result.samples.size() * 20);
+void append_cell_result(std::string& out, const CellResult& result) {
+  // Room for the fixed keys, the text fields, 20 bytes per sample
+  // ("<16 hex>", ) and a caller's closing bytes: one allocation per call.
+  out.reserve(out.size() + 256 + result.unit.size() + result.stop_reason.size() +
+              result.error.size() + result.samples.size() * 20);
   out += "{\"schema\": \"scibench.cell\", \"version\": ";
   out += json::dump_size(static_cast<std::size_t>(kVersion));
   out += ", \"unit\": ";
@@ -321,14 +336,12 @@ std::string cell_result_to_json(const CellResult& result) {
   out += ", \"samples\": [";
   for (std::size_t i = 0; i < result.samples.size(); ++i) {
     if (i > 0) out += ", ";
-    json::append_quoted(out, hex_double(result.samples[i]));
+    append_quoted_hex(out, std::bit_cast<std::uint64_t>(result.samples[i]));
   }
   out += "]}";
-  return out;
 }
 
-CellResult parse_cell_result_json(std::string_view text) {
-  const json::Value root = json::parse(text);
+CellResult parse_cell_result(const json::Value& root) {
   check_schema(root, "scibench.cell");
   CellResult result;
   result.unit = root.at("unit").as_string();
@@ -336,11 +349,24 @@ CellResult parse_cell_result_json(std::string_view text) {
   result.warmup_discarded = root.at("warmup_discarded").as_size();
   result.error = root.at("error").as_string();
   const json::Value& samples = root.at("samples");
+  if (samples.type != json::Value::Type::kArray) {
+    throw std::runtime_error("wire: \"samples\" must be an array");
+  }
   result.samples.reserve(samples.array.size());
   for (const auto& s : samples.array) {
     result.samples.push_back(parse_hex_double(s.as_string()));
   }
   return result;
+}
+
+std::string cell_result_to_json(const CellResult& result) {
+  std::string out;
+  append_cell_result(out, result);
+  return out;
+}
+
+CellResult parse_cell_result_json(std::string_view text) {
+  return parse_cell_result(json::parse(text));
 }
 
 }  // namespace sci::exec::wire

@@ -18,12 +18,14 @@
 //       run any job, so a crashed worker's job re-dispatches to a fresh
 //       process with the SAME seed and produces the same bytes.
 //
-//   Cell result         The worker's reply: CellResult with every
-//       sample carried as the 16-hex-digit IEEE-754 bit pattern (the
-//       journal's convention) -- doubles cross the process boundary
+//   Cell result         The worker's reply, and the payload of every
+//       campaign-journal cell record (exec/journal.hpp): CellResult with
+//       every sample carried as the 16-hex-digit IEEE-754 bit pattern --
+//       doubles cross the process boundary and the kill/resume boundary
 //       bit-exactly, which the byte-identity invariant requires. JSON
 //       numbers would round-trip via shortest-form decimal too, but hex
-//       also survives NaN payloads and is grep-able against journals.
+//       also survives NaN payloads. This is the only code that knows how
+//       a CellResult's fields are encoded.
 //
 // u64 seeds travel as 16-digit hex strings: a JSON number is a double
 // and cannot represent every 64-bit seed.
@@ -40,6 +42,10 @@
 #include "exec/backend.hpp"
 #include "exec/campaign.hpp"
 #include "exec/sim_backend.hpp"
+
+namespace sci::obs::json {
+struct Value;
+}
 
 namespace sci::exec::wire {
 
@@ -78,7 +84,13 @@ struct JobSpec {
 [[nodiscard]] JobSpec parse_job_json(std::string_view text);
 
 /// One worker reply (schema "scibench.cell", version 1). Samples are
-/// hex bit patterns; error text passes through quoted.
+/// hex bit patterns; error text passes through quoted. `attempts` is
+/// not part of the object: the runner sets it and the journal stores it.
+void append_cell_result(std::string& out, const CellResult& result);
+/// Decodes an already parsed "scibench.cell" object; throws
+/// std::runtime_error on a schema, key or type mismatch.
+[[nodiscard]] CellResult parse_cell_result(const obs::json::Value& root);
+/// One-line wrappers over the two above, for whole-line transports.
 [[nodiscard]] std::string cell_result_to_json(const CellResult& result);
 [[nodiscard]] CellResult parse_cell_result_json(std::string_view text);
 

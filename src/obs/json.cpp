@@ -227,7 +227,10 @@ const std::string& Value::as_string() const {
 
 std::size_t Value::as_size() const {
   const double v = as_number();
-  if (!(v >= 0.0) || v != static_cast<double>(static_cast<std::size_t>(v))) {
+  // Range-check before the cast: converting a double at or above 2^64
+  // to std::size_t is undefined behaviour.
+  static const double kLimit = std::ldexp(1.0, std::numeric_limits<std::size_t>::digits);
+  if (!(v >= 0.0 && v < kLimit) || v != std::floor(v)) {
     throw std::runtime_error("json: expected a non-negative integer");
   }
   return static_cast<std::size_t>(v);

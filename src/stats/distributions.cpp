@@ -30,7 +30,7 @@ double StudentT::cdf(double x) const {
 }
 
 double StudentT::quantile(double p) const {
-  if (p <= 0.0 || p >= 1.0) {
+  if (!(p > 0.0 && p < 1.0)) {  // negated so NaN lands here and throws
     if (p == 0.0) return -std::numeric_limits<double>::infinity();
     if (p == 1.0) return std::numeric_limits<double>::infinity();
     throw std::domain_error("StudentT::quantile: p in (0,1)");

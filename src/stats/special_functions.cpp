@@ -118,7 +118,7 @@ double normal_cdf(double x) {
 }
 
 double inverse_normal_cdf(double p) {
-  if (p <= 0.0 || p >= 1.0) {
+  if (!(p > 0.0 && p < 1.0)) {  // negated so NaN lands here and throws
     if (p == 0.0) return -std::numeric_limits<double>::infinity();
     if (p == 1.0) return std::numeric_limits<double>::infinity();
     throw std::domain_error("inverse_normal_cdf: p in (0,1) required");
@@ -158,6 +158,8 @@ double inverse_normal_cdf(double p) {
 }
 
 double inverse_regularized_beta(double a, double b, double p) {
+  // NaN passes both clamps below and would bisect to x = 1.
+  if (std::isnan(p)) throw std::domain_error("inverse_regularized_beta: p is NaN");
   if (p <= 0.0) return 0.0;
   if (p >= 1.0) return 1.0;
   // Bisection with Newton acceleration: monotone, always converges.

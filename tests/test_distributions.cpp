@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "stats/distributions.hpp"
 
@@ -16,6 +17,17 @@ TEST(StudentTDist, TableCriticalValues) {
   EXPECT_NEAR(StudentT{10.0}.critical_two_sided(0.01), 3.169, 0.005);
   // Converges to the normal critical value for large dof.
   EXPECT_NEAR(StudentT{100000.0}.critical_two_sided(0.05), 1.960, 0.002);
+}
+
+TEST(StudentTDist, QuantileRejectsProbabilitiesOutsideUnitInterval) {
+  const StudentT t{5.0};
+  EXPECT_TRUE(std::isinf(t.quantile(0.0)));
+  EXPECT_TRUE(std::isinf(t.quantile(1.0)));
+  EXPECT_THROW((void)t.quantile(-0.1), std::domain_error);
+  EXPECT_THROW((void)t.quantile(1.1), std::domain_error);
+  // NaN must not slip past the range check into a near-zero quantile.
+  EXPECT_THROW((void)t.quantile(std::nan("")), std::domain_error);
+  EXPECT_THROW((void)t.critical_two_sided(std::nan("")), std::domain_error);
 }
 
 TEST(StudentTDist, CdfSymmetry) {
@@ -60,6 +72,11 @@ TEST(FisherFDist, TableValues) {
   EXPECT_NEAR((FisherF{1.0, 10.0}.quantile(0.95)), 4.965, 0.01);
   EXPECT_NEAR((FisherF{3.0, 20.0}.quantile(0.95)), 3.098, 0.01);
   EXPECT_NEAR((FisherF{5.0, 5.0}.quantile(0.95)), 5.050, 0.01);
+}
+
+TEST(FisherFDist, QuantileRejectsNaN) {
+  EXPECT_THROW((void)(FisherF{3.0, 20.0}.quantile(std::nan(""))), std::domain_error);
+  EXPECT_THROW((void)ChiSquared{2.0}.quantile(std::nan("")), std::domain_error);
 }
 
 TEST(FisherFDist, CdfQuantileRoundTrip) {

@@ -18,6 +18,9 @@
 #include "exec/journal.hpp"
 #include "exec/runner.hpp"
 #include "exec/sim_backend.hpp"
+#include "exec/wire.hpp"
+#include "obs/json.hpp"
+#include "rng/xoshiro.hpp"
 
 namespace sci::exec {
 namespace {
@@ -32,6 +35,15 @@ std::string temp_path(const std::string& name) {
   const std::string path = ::testing::TempDir() + "/" + name;
   std::remove(path.c_str());
   return path;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 }
 
 SimBackend small_sim_backend() {
@@ -286,20 +298,28 @@ TEST(Journal, ToleratesTornTail) {
     journal.append(0, 0, 10, r);
     journal.append(1, 0, 11, r);
   }
-  // Simulate a crash mid-append: a record missing its trailing "ok".
+  const std::string intact = read_file(path);
   {
-    std::ofstream out(path, std::ios::app);
-    out << "cell 2 0 000000000000000c 1 0 - - - 2 3ff8000000";
+    CampaignJournal journal(path, 77);
+    journal.append(2, 0, 12, r);
   }
-  CampaignJournal reopened(path, 77);
-  EXPECT_EQ(reopened.size(), 2u);
-  EXPECT_NE(reopened.find(0, 0, 10), nullptr);
-  EXPECT_NE(reopened.find(1, 0, 11), nullptr);
-  EXPECT_EQ(reopened.find(2, 0, 12), nullptr);
-  // The journal stays appendable after dropping the torn tail.
-  reopened.append(2, 0, 12, r);
-  CampaignJournal again(path, 77);
-  EXPECT_EQ(again.find(2, 0, 12)->samples, r.samples);
+  const std::string full = read_file(path);
+  const std::size_t record = full.size() - intact.size();  // incl. '\n'
+  // Simulate a crash mid-append: cut the real third record short at
+  // several byte offsets, down to losing only its closing brace.
+  for (const std::size_t keep : {std::size_t{1}, record / 2, record - 2}) {
+    write_file(path, full.substr(0, intact.size() + keep));
+    CampaignJournal reopened(path, 77);
+    EXPECT_EQ(reopened.size(), 2u) << "keep=" << keep;
+    EXPECT_NE(reopened.find(0, 0, 10), nullptr);
+    EXPECT_NE(reopened.find(1, 0, 11), nullptr);
+    EXPECT_EQ(reopened.find(2, 0, 12), nullptr);
+    // The journal stays appendable after dropping the torn tail.
+    reopened.append(2, 0, 12, r);
+    CampaignJournal again(path, 77);
+    ASSERT_NE(again.find(2, 0, 12), nullptr) << "keep=" << keep;
+    EXPECT_EQ(again.find(2, 0, 12)->samples, r.samples);
+  }
 }
 
 TEST(Journal, RefusesForeignFiles) {
@@ -317,6 +337,122 @@ TEST(Journal, RefusesForeignFiles) {
     out << "config,rep,value\n0,0,1.5\n";
   }
   EXPECT_THROW(CampaignJournal(junk, 1), std::runtime_error);
+}
+
+TEST(Journal, RefusesTextFormatJournalsNamingTheVersion) {
+  const std::string path = temp_path("journal_text_format.log");
+  for (const std::string version : {"v1", "v2"}) {
+    write_file(path, "# scibench campaign journal " + version +
+                         " fp=0000000000000001\n"
+                         "cell 0 0 000000000000000a 1 0 - - - 1 3ff8000000000000 ok\n");
+    try {
+      CampaignJournal journal(path, 1);
+      ADD_FAILURE() << version << " journal was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("text-format " + version), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+/// A real journal of a 3-config campaign (6 cell records) plus one stop
+/// record, attacked byte by byte: every truncation, and seeded single
+/// byte flips, insertions and deletions. Each open must either succeed
+/// or throw std::runtime_error (ASan/UBSan watch for the rest), replay
+/// no more records than were appended, and -- for a truncation --
+/// replay exactly the records whose line precedes the cut.
+TEST(Journal, SurvivesTruncationAndByteMutations) {
+  const std::string source = temp_path("journal_mutation_source.journal");
+  {
+    SimBackend backend = small_sim_backend();
+    CampaignRunnerOptions opts;
+    opts.workers = 1;
+    opts.journal_path = source;
+    CampaignRunner runner(backend, small_campaign({"dora"}), opts);
+    ASSERT_EQ(runner.run().executed, 6u);
+  }
+  const std::string written = read_file(source);
+  const std::uint64_t fp = wire::parse_hex_u64(
+      obs::json::parse(written.substr(0, written.find('\n'))).at("fingerprint").as_string());
+  { CampaignJournal(source, fp).append_stop(1, 2, "fixed"); }
+  const std::string full = read_file(source);
+
+  struct Line {
+    std::size_t end = 0;  ///< offset of the line's last byte (before '\n')
+    std::size_t config = 0, rep = 0;
+    std::uint64_t seed = 0;
+    bool stop = false;
+  };
+  std::vector<Line> lines;
+  for (std::size_t begin = 0; begin < full.size();) {
+    const std::size_t nl = full.find('\n', begin);
+    ASSERT_NE(nl, std::string::npos);
+    const obs::json::Value v = obs::json::parse(full.substr(begin, nl - begin));
+    Line line;
+    line.end = nl - 1;
+    if (begin > 0) {
+      line.config = v.at("config").as_size();
+      line.stop = v.at("kind").as_string() == "stop";
+      if (!line.stop) {
+        line.rep = v.at("rep").as_size();
+        line.seed = wire::parse_hex_u64(v.at("seed").as_string());
+      }
+    }
+    lines.push_back(line);
+    begin = nl + 1;
+  }
+  ASSERT_EQ(lines.size(), 8u);  // header + 6 cells + 1 stop
+  constexpr std::size_t kAppended = 6;
+
+  const std::string path = temp_path("journal_mutation.journal");
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    write_file(path, full.substr(0, cut));
+    if (cut > 0 && cut <= lines[0].end) {
+      EXPECT_THROW(CampaignJournal(path, fp), std::runtime_error) << "cut=" << cut;
+      continue;
+    }
+    CampaignJournal journal(path, fp);
+    std::size_t complete = 0;
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+      const bool kept = cut > lines[i].end;
+      if (lines[i].stop) {
+        EXPECT_EQ(journal.find_stop(lines[i].config) != nullptr, kept) << "cut=" << cut;
+        continue;
+      }
+      complete += kept ? 1 : 0;
+      EXPECT_EQ(journal.find(lines[i].config, lines[i].rep, lines[i].seed) != nullptr, kept)
+          << "cut=" << cut << " line=" << i;
+    }
+    EXPECT_EQ(journal.size(), complete) << "cut=" << cut;
+  }
+
+  rng::Xoshiro256 gen(0x6a6f75726e616c);
+  const auto below = [&gen](std::size_t n) { return static_cast<std::size_t>(gen() % n); };
+  constexpr int kMutationsPerKind = 400;
+  for (int kind = 0; kind < 3; ++kind) {
+    for (int i = 0; i < kMutationsPerKind; ++i) {
+      std::string bytes = full;
+      const std::size_t at = below(bytes.size());
+      if (kind == 0) {
+        bytes[at] = static_cast<char>(bytes[at] ^ static_cast<char>(1 + below(255)));
+      } else if (kind == 1) {
+        bytes.insert(at, 1, static_cast<char>(below(256)));
+      } else {
+        bytes.erase(at, 1);
+      }
+      write_file(path, bytes);
+      try {
+        CampaignJournal journal(path, fp);
+        EXPECT_LE(journal.size(), kAppended) << "kind=" << kind << " at=" << at;
+      } catch (const std::runtime_error&) {
+        // Only a damaged header line is refused; damaged records are
+        // skipped, and anything other than runtime_error fails the test.
+        EXPECT_LE(at, lines[0].end + 1) << "kind=" << kind;
+      }
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(source.c_str());
 }
 
 TEST(Journal, FingerprintSeparatesCampaignsAndBackends) {

@@ -47,6 +47,8 @@ TEST(RegularizedBeta, Boundaries) {
   EXPECT_EQ(regularized_beta(2.0, 3.0, 1.0), 1.0);
   EXPECT_THROW((void)regularized_beta(-1.0, 1.0, 0.5), std::domain_error);
   EXPECT_THROW((void)regularized_beta(1.0, 1.0, 1.5), std::domain_error);
+  EXPECT_THROW((void)inverse_regularized_beta(2.0, 3.0, std::nan("")), std::domain_error);
+  EXPECT_THROW((void)inverse_regularized_gamma_p(2.0, std::nan("")), std::domain_error);
 }
 
 TEST(NormalCdf, KnownValues) {
@@ -68,6 +70,7 @@ TEST(InverseNormalCdf, Boundaries) {
   EXPECT_TRUE(std::isinf(inverse_normal_cdf(1.0)));
   EXPECT_THROW((void)inverse_normal_cdf(-0.1), std::domain_error);
   EXPECT_THROW((void)inverse_normal_cdf(1.1), std::domain_error);
+  EXPECT_THROW((void)inverse_normal_cdf(std::nan("")), std::domain_error);
 }
 
 class InverseRoundTrip : public ::testing::TestWithParam<double> {};
