@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -86,13 +87,21 @@ Ingested load_measurements(const std::string& path) {
     if (cols[i].rfind("f_", 0) == 0) factor_cols.push_back(i);
   }
 
-  // Regroup long-form rows per (config, rep). Rows are in export order,
-  // but a map keeps ingestion robust to externally sorted files.
-  std::map<std::pair<std::size_t, std::size_t>, std::size_t> index;
+  // Regroup long-form rows per (config, rep). An export lists each
+  // run's rows together, so the map is consulted only when the key
+  // changes; it keeps ingestion robust to externally sorted files.
+  using Key = std::pair<std::size_t, std::size_t>;
+  std::map<Key, std::size_t> index;
+  std::optional<Key> current_key;
+  std::size_t current = 0;
   for (std::size_t r = 0; r < out.dataset.rows(); ++r) {
-    const auto& row = out.dataset.row(r);
-    const auto key = std::make_pair(static_cast<std::size_t>(row[config_col]),
-                                    static_cast<std::size_t>(row[rep_col]));
+    const auto row = out.dataset.row(r);
+    const Key key(static_cast<std::size_t>(row[config_col]),
+                  static_cast<std::size_t>(row[rep_col]));
+    if (key == current_key) {
+      out.cells[current].values.push_back(row[value_col]);
+      continue;
+    }
     auto it = index.find(key);
     if (it == index.end()) {
       IngestedSeries series;
@@ -114,7 +123,9 @@ Ingested load_measurements(const std::string& path) {
       it = index.emplace(key, out.cells.size()).first;
       out.cells.push_back(std::move(series));
     }
-    out.cells[it->second].values.push_back(row[value_col]);
+    current_key = key;
+    current = it->second;
+    out.cells[current].values.push_back(row[value_col]);
   }
   // Cells were appended in first-appearance order; normalize to
   // (config, rep) order to match CampaignResult::cells.

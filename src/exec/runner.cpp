@@ -86,13 +86,12 @@ std::vector<std::string> cell_columns(const std::vector<CampaignCell>& cells) {
   return cols;
 }
 
-std::vector<double> cell_prefix(const CampaignCell& cell) {
-  std::vector<double> row = {static_cast<double>(cell.config.index),
-                             static_cast<double>(cell.rep)};
+/// Replaces `row` with the cell's key columns (config, rep, levels).
+void assign_cell_prefix(const CampaignCell& cell, std::vector<double>& row) {
+  row.assign({static_cast<double>(cell.config.index), static_cast<double>(cell.rep)});
   for (std::size_t idx : cell.config.level_indices) {
     row.push_back(static_cast<double>(idx));
   }
-  return row;
 }
 
 }  // namespace
@@ -102,13 +101,20 @@ core::Dataset CampaignResult::samples_dataset() const {
   cols.push_back("sample");
   cols.push_back("value");
   core::Dataset ds(experiment, std::move(cols));
+  std::size_t rows = 0;
+  for (const auto& cell : cells) {
+    if (cell.result.error.empty()) rows += cell.result.samples.size();
+  }
+  ds.reserve(rows);
+  std::vector<double> row;
   for (const auto& cell : cells) {
     if (!cell.result.error.empty()) continue;
-    const auto prefix = cell_prefix(cell);
+    assign_cell_prefix(cell, row);
+    const std::size_t at = row.size();
+    row.resize(at + 2);
     for (std::size_t i = 0; i < cell.result.samples.size(); ++i) {
-      auto row = prefix;
-      row.push_back(static_cast<double>(i));
-      row.push_back(cell.result.samples[i]);
+      row[at] = static_cast<double>(i);
+      row[at + 1] = cell.result.samples[i];
       ds.add_row(row);
     }
   }
@@ -122,12 +128,14 @@ core::Dataset CampaignResult::summary_dataset() const {
   }
   core::Dataset ds(experiment, std::move(cols));
   constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  ds.reserve(cells.size());
+  std::vector<double> row;
   for (const auto& cell : cells) {
     // Failed cells keep their row (failed=1, NaN statistics) so a
     // partially-failed campaign renders with explicit holes instead of
     // silently shrinking the grid.
     const bool cell_failed = !cell.result.error.empty();
-    auto row = cell_prefix(cell);
+    assign_cell_prefix(cell, row);
     row.push_back(cell_failed ? 1.0 : 0.0);
     if (cell_failed) {
       row.push_back(0.0);

@@ -347,7 +347,7 @@ bool write_line_fd(int fd, const std::string& line) {
   return true;
 }
 
-bool read_line_fd(int fd, std::string& line) {
+bool read_line_fd(int fd, std::string& line, std::size_t max_bytes) {
   line.clear();
   for (;;) {
     char c = 0;
@@ -358,8 +358,73 @@ bool read_line_fd(int fd, std::string& line) {
     }
     if (n == 0) return false;  // EOF mid-line: dead peer
     if (c == '\n') return true;
+    if (line.size() == max_bytes) {
+      throw std::runtime_error("line longer than " + std::to_string(max_bytes) + " bytes");
+    }
     line.push_back(c);
   }
+}
+
+namespace {
+
+/// Streams one submission's events to the connected client; a dead peer
+/// mutes the stream (the job keeps running -- results land on disk).
+class ClientSink : public ServiceEventSink {
+ public:
+  explicit ClientSink(int fd) : fd_(fd) {}
+  void on_event(const std::string& line) override {
+    if (alive_) alive_ = write_line_fd(fd_, line);
+  }
+
+ private:
+  int fd_;
+  bool alive_ = true;
+};
+
+}  // namespace
+
+void serve_client(CampaignService& service, int fd) {
+  ClientSink sink(fd);
+  try {
+    std::string header_line;
+    std::string campaign_line;
+    if (read_line_fd(fd, header_line, kMaxSubmissionLineBytes) &&
+        read_line_fd(fd, campaign_line, kMaxSubmissionLineBytes)) {
+      const json::Value header = json::parse(header_line);
+      if (header.at("op").as_string() != "submit") {
+        throw std::runtime_error("unknown op \"" + header.at("op").as_string() + "\"");
+      }
+      const wire::CampaignEnvelope envelope = wire::parse_campaign_json(campaign_line);
+
+      Submission sub;
+      sub.spec = envelope.spec;
+      sub.backend = envelope.backend;
+      const auto str = [&](const char* key) {
+        const json::Value* v = header.find(key);
+        return v == nullptr ? std::string() : v->as_string();
+      };
+      if (const json::Value* v = header.find("priority")) {
+        sub.priority = static_cast<int>(v->as_number());
+      }
+      sub.journal_path = str("journal");
+      sub.samples_csv = str("samples_csv");
+      sub.summary_csv = str("summary_csv");
+      sub.metrics_path = str("metrics");
+      if (const json::Value* v = header.find("max_attempts")) {
+        sub.max_attempts = v->as_size();
+      }
+      if (const json::Value* v = header.find("heartbeat_s")) {
+        sub.heartbeat_s = v->as_number();
+      }
+
+      const std::uint64_t id = service.submit(std::move(sub), &sink);
+      (void)service.wait(id);  // terminal event already streamed
+    }
+  } catch (const std::exception& e) {
+    write_line_fd(fd, "{\"event\": \"rejected\", \"job\": 0, \"error\": " +
+                          json::quoted(e.what()) + "}");
+  }
+  ::close(fd);
 }
 
 }  // namespace sci::exec

@@ -34,6 +34,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <queue>
@@ -182,7 +183,22 @@ class CampaignService {
 /// Writes `line` + '\n'; false on a dead peer (never throws, never
 /// raises SIGPIPE -- callers sit in event loops).
 bool write_line_fd(int fd, const std::string& line);
-/// Reads one '\n'-terminated line; false on EOF/error.
-bool read_line_fd(int fd, std::string& line);
+/// Reads one '\n'-terminated line; false on EOF/error. A line longer
+/// than `max_bytes` (newline excluded) throws std::runtime_error after
+/// max_bytes + 1 bytes have been consumed.
+bool read_line_fd(int fd, std::string& line,
+                  std::size_t max_bytes = std::numeric_limits<std::size_t>::max());
+
+/// Longest submission line scibenchd buffers from a client. A campaign
+/// envelope is a few KiB; the cap bounds what one connection can make
+/// the daemon hold.
+inline constexpr std::size_t kMaxSubmissionLineBytes = std::size_t{1} << 20;
+
+/// Serves one scibenchd client connection: reads the two-line
+/// submission (a {"op": "submit", ...} header, then a scibench.campaign
+/// envelope, each at most kMaxSubmissionLineBytes), runs it on `service`
+/// while streaming its events to the client, and closes `fd`. A bad or
+/// oversized submission gets a "rejected" event instead.
+void serve_client(CampaignService& service, int fd);
 
 }  // namespace sci::exec

@@ -10,6 +10,8 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -449,6 +451,83 @@ TEST(Journal, SurvivesTruncationAndByteMutations) {
         // skipped, and anything other than runtime_error fails the test.
         EXPECT_LE(at, lines[0].end + 1) << "kind=" << kind;
       }
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(source.c_str());
+}
+
+// --------------------------------------------- CSV export fuzz
+
+TEST(CsvExport, SurvivesTruncationAndByteMutations) {
+  SimBackend backend = small_sim_backend();
+  CampaignRunnerOptions opts;
+  opts.workers = 1;
+  CampaignRunner runner(backend, small_campaign({"dora"}), opts);
+  const core::Dataset want = runner.run().samples_dataset();
+  ASSERT_EQ(want.rows(), 6u * 24u);
+  const std::string source = temp_path("csv_mutation_source.csv");
+  want.save_csv(source);
+  const std::string full = read_file(source);
+
+  const auto same_cells = [](std::span<const double> a, std::span<const double> b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  const core::Dataset reloaded = core::Dataset::load_csv(source);
+  ASSERT_EQ(reloaded.columns(), want.columns());
+  ASSERT_EQ(reloaded.rows(), want.rows());
+  for (std::size_t r = 0; r < want.rows(); ++r) {
+    EXPECT_TRUE(same_cells(reloaded.row(r), want.row(r))) << "row " << r;
+  }
+
+  // Every input either loads or throws std::runtime_error.
+  const std::string path = temp_path("csv_mutation.csv");
+  const auto try_load = [&path](const std::string& bytes) -> std::optional<core::Dataset> {
+    write_file(path, bytes);
+    try {
+      return core::Dataset::load_csv(path);
+    } catch (const std::runtime_error&) {
+      return std::nullopt;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not a std::runtime_error: " << e.what();
+      return std::nullopt;
+    }
+  };
+
+  const std::size_t width = want.columns().size();
+  std::size_t loaded_with_rows = 0;
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    const auto ds = try_load(full.substr(0, cut));
+    if (!ds || ds->rows() == 0) continue;  // a cut column line loads with no rows
+    ++loaded_with_rows;
+    // A cut can shorten the last row's last number, nothing before it.
+    ASSERT_EQ(ds->columns(), want.columns()) << "cut=" << cut;
+    ASSERT_LE(ds->rows(), want.rows()) << "cut=" << cut;
+    const std::size_t last = ds->rows() - 1;
+    for (std::size_t r = 0; r < last; ++r) {
+      ASSERT_TRUE(same_cells(ds->row(r), want.row(r))) << "cut=" << cut << " row=" << r;
+    }
+    EXPECT_TRUE(same_cells(ds->row(last).first(width - 1), want.row(last).first(width - 1)))
+        << "cut=" << cut;
+  }
+  EXPECT_GT(loaded_with_rows, want.rows());
+
+  rng::Xoshiro256 gen(0x637376);
+  const auto below = [&gen](std::size_t n) { return static_cast<std::size_t>(gen() % n); };
+  constexpr int kMutationsPerKind = 150;
+  for (int kind = 0; kind < 3; ++kind) {
+    for (int i = 0; i < kMutationsPerKind; ++i) {
+      std::string bytes = full;
+      const std::size_t at = below(bytes.size());
+      if (kind == 0) {
+        bytes[at] = static_cast<char>(bytes[at] ^ static_cast<char>(1 + below(255)));
+      } else if (kind == 1) {
+        bytes.insert(at, 1, static_cast<char>(below(256)));
+      } else {
+        bytes.erase(at, 1);
+      }
+      (void)try_load(bytes);
     }
   }
   std::remove(path.c_str());

@@ -551,5 +551,55 @@ TEST(UnixSocket, LineTransportRoundTrips) {
   ::unlink(path.c_str());
 }
 
+TEST(UnixSocket, OversizedSubmissionLineIsRejectedAndNextClientServed) {
+  ProcessPool pool(pool_options(1));
+  CampaignService service(pool);
+  const std::string path = temp_path("svc_hostile.sock");
+  const int listen_fd = listen_unix(path);
+  ASSERT_GE(listen_fd, 0);
+  // scibenchd's accept loop, serving two clients in turn.
+  std::thread daemon([&service, listen_fd] {
+    for (int i = 0; i < 2; ++i) {
+      const int fd = ::accept(listen_fd, nullptr, nullptr);
+      if (fd < 0) return;
+      serve_client(service, fd);
+    }
+  });
+
+  // A hostile client: one byte more than the cap, and no newline.
+  const int hostile = connect_unix(path);
+  const std::string flood(kMaxSubmissionLineBytes + 1, 'x');
+  for (std::size_t sent = 0; sent < flood.size();) {
+    const ssize_t n = ::send(hostile, flood.data() + sent, flood.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) {
+      ADD_FAILURE() << "the daemon stopped reading after " << sent << " bytes";
+      break;
+    }
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string reply;
+  EXPECT_TRUE(read_line_fd(hostile, reply));
+  EXPECT_NE(reply.find("\"event\": \"rejected\""), std::string::npos) << reply;
+  EXPECT_NE(reply.find("longer than 1048576 bytes"), std::string::npos) << reply;
+  EXPECT_FALSE(read_line_fd(hostile, reply)) << "the daemon closes the connection";
+  ::close(hostile);
+
+  // The daemon still serves the next client's submission to the end.
+  const int client = connect_unix(path);
+  EXPECT_TRUE(write_line_fd(client, "{\"op\": \"submit\"}"));
+  EXPECT_TRUE(write_line_fd(
+      client, wire::campaign_to_json(grid_spec("svc_after_flood"), small_sim_options())));
+  bool done = false;
+  while (read_line_fd(client, reply)) {
+    done = done || reply.find("\"event\": \"done\"") != std::string::npos;
+  }
+  ::close(client);
+  EXPECT_TRUE(done);
+
+  daemon.join();
+  ::close(listen_fd);
+  ::unlink(path.c_str());
+}
+
 }  // namespace
 }  // namespace sci::exec

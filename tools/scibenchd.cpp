@@ -28,7 +28,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -36,27 +35,10 @@
 
 #include "exec/interrupt.hpp"
 #include "exec/service.hpp"
-#include "exec/wire.hpp"
-#include "obs/json.hpp"
 
 namespace exec = sci::exec;
-namespace json = sci::obs::json;
 
 namespace {
-
-/// Streams one submission's events to the connected client; a dead peer
-/// mutes the stream (the job keeps running -- results land on disk).
-class ClientSink : public exec::ServiceEventSink {
- public:
-  explicit ClientSink(int fd) : fd_(fd) {}
-  void on_event(const std::string& line) override {
-    if (alive_) alive_ = exec::write_line_fd(fd_, line);
-  }
-
- private:
-  int fd_;
-  bool alive_ = true;
-};
 
 std::string default_worker_path(const char* argv0) {
   if (const char* env = std::getenv("SCIBENCH_WORKER_PATH")) return env;
@@ -73,51 +55,6 @@ std::string default_worker_path(const char* argv0) {
   const std::size_t slash = dir.rfind('/');
   dir = slash == std::string::npos ? std::string(".") : dir.substr(0, slash);
   return dir + "/scibench_worker";
-}
-
-/// Reads the two-line submission, runs it to a terminal event, closes.
-void serve_client(exec::CampaignService& service, int fd) {
-  std::string header_line;
-  std::string campaign_line;
-  ClientSink sink(fd);
-  if (exec::read_line_fd(fd, header_line) && exec::read_line_fd(fd, campaign_line)) {
-    try {
-      const json::Value header = json::parse(header_line);
-      if (header.at("op").as_string() != "submit") {
-        throw std::runtime_error("unknown op \"" + header.at("op").as_string() + "\"");
-      }
-      const exec::wire::CampaignEnvelope envelope =
-          exec::wire::parse_campaign_json(campaign_line);
-
-      exec::Submission sub;
-      sub.spec = envelope.spec;
-      sub.backend = envelope.backend;
-      const auto str = [&](const char* key) {
-        const json::Value* v = header.find(key);
-        return v == nullptr ? std::string() : v->as_string();
-      };
-      if (const json::Value* v = header.find("priority")) {
-        sub.priority = static_cast<int>(v->as_number());
-      }
-      sub.journal_path = str("journal");
-      sub.samples_csv = str("samples_csv");
-      sub.summary_csv = str("summary_csv");
-      sub.metrics_path = str("metrics");
-      if (const json::Value* v = header.find("max_attempts")) {
-        sub.max_attempts = v->as_size();
-      }
-      if (const json::Value* v = header.find("heartbeat_s")) {
-        sub.heartbeat_s = v->as_number();
-      }
-
-      const std::uint64_t id = service.submit(std::move(sub), &sink);
-      (void)service.wait(id);  // terminal event already streamed
-    } catch (const std::exception& e) {
-      exec::write_line_fd(fd, "{\"event\": \"rejected\", \"job\": 0, \"error\": " +
-                                  json::quoted(e.what()) + "}");
-    }
-  }
-  ::close(fd);
 }
 
 }  // namespace
@@ -190,7 +127,7 @@ int main(int argc, char** argv) {
     const int client_fd = ::accept(listen_fd, nullptr, nullptr);
     if (client_fd < 0) continue;
     clients.emplace_back(
-        [&service, client_fd] { serve_client(service, client_fd); });
+        [&service, client_fd] { exec::serve_client(service, client_fd); });
   }
 
   ::close(listen_fd);
