@@ -1,10 +1,11 @@
 #include "exec/ingest.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 
@@ -38,13 +39,35 @@ std::string header_env(const std::string& header_text, const std::string& key) {
   return {};
 }
 
+/// `text` as a decimal count, or nothing for junk. A sign is junk too
+/// (strtoull would read "-1" as 2^64 - 1), and so is an overflow.
+std::optional<std::size_t> parse_count(const std::string& text) {
+  std::size_t n = 0;
+  const char* const last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, n);
+  if (ec != std::errc{} || ptr != last) return std::nullopt;
+  return n;
+}
+
 std::size_t header_env_count(const std::string& header_text, const std::string& key) {
-  const std::string value = header_env(header_text, key);
-  if (value.empty()) return 0;
   // Hand-edited junk degrades to 0 rather than aborting the report.
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' ? static_cast<std::size_t>(n) : 0;
+  return parse_count(header_env(header_text, key)).value_or(0);
+}
+
+/// A `config`/`rep` cell as an index. Casting a negative, fractional,
+/// non-finite or huge double to std::size_t is undefined behaviour, so
+/// anything but a non-negative integer below 2^53 is refused.
+std::size_t key_cell(double v, const std::string& path, std::size_t row,
+                     const char* column) {
+  constexpr double kLimit = 9007199254740992.0;  // 2^53
+  const bool in_range = v >= 0.0 && v < kLimit;  // false for NaN
+  const std::size_t key = in_range ? static_cast<std::size_t>(v) : 0;
+  if (!in_range || static_cast<double>(key) != v) {
+    throw std::runtime_error("load_measurements: " + path + ": data row " +
+                             std::to_string(row + 1) + ": '" + column +
+                             "' is not a non-negative integer below 2^53");
+  }
+  return key;
 }
 
 }  // namespace
@@ -64,14 +87,12 @@ Ingested load_measurements(const std::string& path) {
   while (pos < counts.size()) {
     std::size_t comma = counts.find(',', pos);
     if (comma == std::string::npos) comma = counts.size();
-    char* end = nullptr;
-    const std::string token = counts.substr(pos, comma - pos);
-    const unsigned long long n = std::strtoull(token.c_str(), &end, 10);
-    if (token.empty() || end == nullptr || *end != '\0') {
+    const std::optional<std::size_t> n = parse_count(counts.substr(pos, comma - pos));
+    if (!n) {
       out.rep_counts.clear();
       break;
     }
-    out.rep_counts.push_back(static_cast<std::size_t>(n));
+    out.rep_counts.push_back(*n);
     pos = comma + 1;
   }
   const auto& cols = out.dataset.columns();
@@ -96,8 +117,8 @@ Ingested load_measurements(const std::string& path) {
   std::size_t current = 0;
   for (std::size_t r = 0; r < out.dataset.rows(); ++r) {
     const auto row = out.dataset.row(r);
-    const Key key(static_cast<std::size_t>(row[config_col]),
-                  static_cast<std::size_t>(row[rep_col]));
+    const Key key(key_cell(row[config_col], path, r, "config"),
+                  key_cell(row[rep_col], path, r, "rep"));
     if (key == current_key) {
       out.cells[current].values.push_back(row[value_col]);
       continue;

@@ -163,22 +163,27 @@ BenchReporter::BenchReporter(std::string bench_name) {
     report_.git_sha = sha;
   }
 #ifdef NDEBUG
-  report_.context["build_type"] = "release";
+  constexpr const char* kBuildType = "release";
 #else
-  report_.context["build_type"] = "debug";
+  constexpr const char* kBuildType = "debug";
 #endif
 #if defined(SCIBENCH_POOLING) && !SCIBENCH_POOLING
-  report_.context["pooling"] = "0";
+  constexpr const char* kPooling = "0";
 #else
-  report_.context["pooling"] = "1";
+  constexpr const char* kPooling = "1";
 #endif
 #if defined(SCIBENCH_TRACING) && !SCIBENCH_TRACING
-  report_.context["tracing"] = "0";
+  constexpr const char* kTracing = "0";
 #else
-  report_.context["tracing"] = "1";
+  constexpr const char* kTracing = "1";
 #endif
-  report_.context["hardware_concurrency"] =
-      std::to_string(std::thread::hardware_concurrency());
+  // One brace-initialized map: gcc 12's -Wrestrict misfires on
+  // `context[key] = "literal"` assignments at -O3.
+  report_.context = {{"build_type", kBuildType},
+                     {"pooling", kPooling},
+                     {"tracing", kTracing},
+                     {"hardware_concurrency",
+                      std::to_string(std::thread::hardware_concurrency())}};
 }
 
 BenchReporter& BenchReporter::set_context(std::string key, std::string value) {

@@ -52,9 +52,15 @@ class Parser {
     skip_ws();
     switch (peek()) {
       case '{':
-        return object();
-      case '[':
-        return array();
+      case '[': {
+        // A throw abandons the whole parse, so only success unwinds.
+        if (++depth_ > kMaxDepth) {
+          fail(pos_, "nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        Value v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': {
         Value v;
         v.type = Value::Type::kString;
@@ -196,6 +202,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

@@ -2,9 +2,11 @@
 //
 // Everything machine-readable this repo emits about itself -- bench
 // reports (obs/bench_report.hpp), campaign metrics snapshots
-// (exec/progress.hpp), and the scibench_ci history store -- goes
-// through this one emitter/parser pair, so "emit -> parse -> re-emit"
-// is byte-identical by construction:
+// (exec/progress.hpp), daemon metrics, the wire and journal records
+// (exec/wire.hpp), the scibench_ci history store, and Chrome traces
+// (obs/trace.hpp, read back by obs/trace_read.hpp) -- goes through
+// this one emitter/parser pair, so "emit -> parse -> re-emit" is
+// byte-identical by construction:
 //
 //   * numbers are written with std::to_chars (shortest representation
 //     that round-trips the exact double), so re-emitting a parsed value
@@ -17,6 +19,10 @@
 // This is deliberately a subset: UTF-8 pass-through, no \u escapes on
 // output (inputs with \uXXXX below 0x80 are accepted), doubles only.
 // It exists so the repo needs no third-party JSON dependency.
+//
+// Every input is untrusted: malformed text, and nesting deeper than
+// kMaxDepth (the parser recurses once per array/object), throw
+// std::runtime_error rather than crash.
 #pragma once
 
 #include <cmath>
@@ -55,8 +61,14 @@ struct Value {
   [[nodiscard]] std::size_t as_size() const;
 };
 
+/// Deepest array/object nesting parse() accepts: far above the few
+/// levels any schema the repo emits uses, far below what exhausts the
+/// stack.
+inline constexpr std::size_t kMaxDepth = 64;
+
 /// Parses one JSON document (trailing whitespace allowed, trailing
-/// garbage rejected). Throws std::runtime_error with a byte offset.
+/// garbage rejected). Throws std::runtime_error with a byte offset,
+/// also for nesting deeper than kMaxDepth.
 [[nodiscard]] Value parse(std::string_view text);
 
 /// Canonical number emit: shortest round-trip form via std::to_chars;

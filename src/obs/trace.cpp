@@ -1,59 +1,29 @@
 #include "obs/trace.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
+
+#include "obs/json.hpp"
 
 namespace sci::obs {
 namespace {
 
-/// Deterministic number rendering: fixed microsecond timestamps with
-/// picosecond resolution, shortest-roundtrip args. printf-family output
-/// for a given double is stable within one libc, which is what the
-/// byte-identical-trace guarantee needs.
-std::string fmt_us(double seconds) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6f", seconds * 1e6);
-  return buf;
-}
-
-std::string fmt_value(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-void write_escaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
+/// Fixed microsecond timestamps with picosecond resolution. printf
+/// output for a given double is stable within one libc, which is what
+/// the byte-identical-trace guarantee needs. A non-finite time has no
+/// JSON number, so it is written as null (which the reader rejects).
+void append_us(std::string& out, double seconds) {
+  const double us = seconds * 1e6;
+  if (!std::isfinite(us)) {
+    out += "null";
+    return;
   }
-}
-
-void write_args(std::ostream& os, const std::vector<TraceArg>& args) {
-  os << "\"args\":{";
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (i) os << ',';
-    os << '"';
-    write_escaped(os, args[i].key);
-    os << "\":" << fmt_value(args[i].value);
-  }
-  os << '}';
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.6f", us);
+  out += buf;
 }
 
 }  // namespace
@@ -97,64 +67,67 @@ void TraceSink::clear() {
   track_names_.clear();
 }
 
-void TraceSink::write_json(std::ostream& os, const WriteOptions& options) const {
-  os << "{\n\"displayTimeUnit\": \"ms\",\n\"metadata\": {\"tool\": \"scibench\", "
-        "\"format_version\": 1";
+std::string TraceSink::to_json(const WriteOptions& options) const {
+  std::string out =
+      "{\n\"displayTimeUnit\": \"ms\",\n\"metadata\": {\"tool\": \"scibench\", "
+      "\"format_version\": 1";
   if (options.wallclock_metadata) {
     const auto unix_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                              std::chrono::system_clock::now().time_since_epoch())
                              .count();
-    os << ", \"captured_unix_ms\": " << unix_ms;
+    out += ", \"captured_unix_ms\": " + std::to_string(unix_ms);
   }
-  os << "},\n\"traceEvents\": [\n";
+  out += "},\n\"traceEvents\": [\n";
 
-  bool first = true;
-  auto sep = [&] {
-    if (!first) os << ",\n";
-    first = false;
-  };
-
-  sep();
-  os << R"({"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":")";
-  write_escaped(os, process_name_);
-  os << "\"}}";
+  // The process_name record always comes first, so every later record
+  // starts with the separator.
+  out += R"({"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":)";
+  json::append_quoted(out, process_name_);
+  out += "}}";
   for (const auto& [tid, name] : track_names_) {
-    sep();
-    os << R"({"name":"thread_name","ph":"M","pid":1,"tid":)" << tid
-       << R"(,"args":{"name":")";
-    write_escaped(os, name);
-    os << "\"}}";
+    out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
+    out += std::to_string(tid);
+    out += R"(,"args":{"name":)";
+    json::append_quoted(out, name);
+    out += "}}";
   }
 
   for (const Event& e : events_) {
-    sep();
-    os << "{\"name\":\"";
-    write_escaped(os, e.name);
-    os << "\",\"cat\":\"";
-    write_escaped(os, e.cat);
-    os << "\",\"ph\":\"" << e.phase << "\",\"pid\":1,\"tid\":" << e.tid
-       << ",\"ts\":" << fmt_us(e.ts_s);
-    if (e.phase == 'X') os << ",\"dur\":" << fmt_us(e.dur_s);
-    if (e.phase == 'i') os << ",\"s\":\"t\"";
-    if (!e.args.empty() || e.phase == 'C') {
-      os << ',';
-      write_args(os, e.args);
+    out += ",\n{\"name\":";
+    json::append_quoted(out, e.name);
+    out += ",\"cat\":";
+    json::append_quoted(out, e.cat);
+    out += ",\"ph\":\"";
+    out += e.phase;
+    out += "\",\"pid\":1,\"tid\":";
+    out += std::to_string(e.tid);
+    out += ",\"ts\":";
+    append_us(out, e.ts_s);
+    if (e.phase == 'X') {
+      out += ",\"dur\":";
+      append_us(out, e.dur_s);
     }
-    os << '}';
+    if (e.phase == 'i') out += ",\"s\":\"t\"";
+    if (!e.args.empty() || e.phase == 'C') {
+      out += ",\"args\":{";
+      for (std::size_t i = 0; i < e.args.size(); ++i) {
+        if (i) out += ',';
+        json::append_quoted(out, e.args[i].key);
+        out += ':';
+        out += json::dump_number(e.args[i].value);
+      }
+      out += '}';
+    }
+    out += '}';
   }
-  os << "\n]\n}\n";
-}
-
-std::string TraceSink::to_json(const WriteOptions& options) const {
-  std::ostringstream os;
-  write_json(os, options);
-  return os.str();
+  out += "\n]\n}\n";
+  return out;
 }
 
 void TraceSink::save(const std::string& path, const WriteOptions& options) const {
   std::ofstream os(path);
   if (!os) throw std::runtime_error("TraceSink::save: cannot open " + path);
-  write_json(os, options);
+  os << to_json(options);
 }
 
 double host_now_s() noexcept {

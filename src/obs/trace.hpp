@@ -18,12 +18,11 @@
 //     branch per instrumentation site (bench_library_micro's
 //     BM_TraceUnattachedBranch pins this below timer resolution);
 //   - attached: events append to an in-memory vector, no I/O until
-//     write_json()/save().
+//     to_json()/save().
 #pragma once
 
 #include <cstddef>
 #include <initializer_list>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -93,10 +92,10 @@ class TraceSink {
   };
 
   /// JSON object form: {"traceEvents": [...], "metadata": {...}}.
-  /// ts/dur are microseconds per the Chrome spec; output is
-  /// deterministic except for the optional wall-clock metadata line.
-  void write_json(std::ostream& os, const WriteOptions& options) const;
-  void write_json(std::ostream& os) const { write_json(os, WriteOptions{}); }
+  /// ts/dur are fixed-point microseconds per the Chrome spec; names
+  /// and arg values go through obs/json.hpp, so a non-finite arg is
+  /// written as null. Output is deterministic except for the optional
+  /// wall-clock metadata line.
   [[nodiscard]] std::string to_json(const WriteOptions& options) const;
   [[nodiscard]] std::string to_json() const { return to_json(WriteOptions{}); }
   void save(const std::string& path, const WriteOptions& options) const;

@@ -1,275 +1,117 @@
 #include "obs/trace_read.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <fstream>
-#include <functional>
-#include <istream>
+#include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/json.hpp"
+
 namespace sci::obs {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal recursive-descent JSON parser, sufficient for the trace schema
-// (objects, arrays, strings, numbers, true/false/null). Kept local: the
-// toolchain has no JSON dependency and the input is our own writer.
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  [[nodiscard]] const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
+/// `v` as an int when it is an integer in int's range. Converting any
+/// other double to int is undefined behaviour, so it is never cast.
+std::optional<int> exact_int(double v) {
+  if (!(v >= std::numeric_limits<int>::min() && v <= std::numeric_limits<int>::max()) ||
+      v != std::floor(v)) {
+    return std::nullopt;
   }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("trace JSON parse error at offset " + std::to_string(pos_) +
-                             ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  JsonValue parse_value() {
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': {
-        JsonValue v;
-        v.kind = JsonValue::Kind::kString;
-        v.string = parse_string();
-        return v;
-      }
-      case 't':
-      case 'f': {
-        JsonValue v;
-        v.kind = JsonValue::Kind::kBool;
-        v.boolean = text_.compare(pos_, 4, "true") == 0;
-        pos_ += v.boolean ? 4 : 5;
-        return v;
-      }
-      case 'n': {
-        pos_ += 4;
-        return {};
-      }
-      default: return parse_number();
-    }
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      std::string key = parse_string();
-      expect(':');
-      v.object.emplace_back(std::move(key), parse_value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue parse_array() {
-    expect('[');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(parse_value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("bad escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-          const unsigned code =
-              static_cast<unsigned>(std::strtoul(text_.substr(pos_, 4).c_str(), nullptr, 16));
-          pos_ += 4;
-          // The writer only escapes control characters; anything else is
-          // passed through as a single byte.
-          out += static_cast<char>(code & 0xff);
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-    fail("unterminated string");
-  }
-
-  JsonValue parse_number() {
-    skip_ws();
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double d = std::strtod(begin, &end);
-    if (end == begin) fail("expected number");
-    pos_ += static_cast<std::size_t>(end - begin);
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    v.number = d;
-    return v;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-double require_number(const JsonValue& event, const std::string& key) {
-  const JsonValue* v = event.find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) {
-    throw std::runtime_error("trace event missing numeric '" + key + "'");
-  }
-  return v->number;
+  return static_cast<int>(v);
 }
 
-std::string require_string(const JsonValue& event, const std::string& key) {
-  const JsonValue* v = event.find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kString) {
-    throw std::runtime_error("trace event missing string '" + key + "'");
+bool is_recv_like(const ParsedEvent& e) { return e.name == "recv" || e.name == "irecv"; }
+bool is_send_like(const ParsedEvent& e) { return e.name == "send" || e.name == "isend"; }
+
+/// Adds one trace event to `trace`. The json::Value accessors throw
+/// std::runtime_error on a missing key or a wrong type; so does every
+/// check here.
+void read_event(const json::Value& ev, ParsedTrace& trace) {
+  const std::string& ph = ev.at("ph").as_string();
+  const std::string& name = ev.at("name").as_string();
+  const std::optional<int> tid = exact_int(ev.at("tid").as_number());
+  if (!tid) throw std::runtime_error("'tid' must be an integer in int range");
+  const json::Value* args = ev.find("args");
+
+  if (ph == "M") {
+    const json::Value* label = args == nullptr ? nullptr : args->find("name");
+    if (label == nullptr) return;
+    const std::string& text = label->as_string();
+    if (name == "thread_name") trace.track_names[*tid] = text;
+    if (name == "process_name") trace.process_name = text;
+    return;
   }
-  return v->string;
+
+  ParsedEvent out;
+  out.phase = ph.empty() ? '?' : ph[0];
+  out.tid = *tid;
+  out.name = name;
+  if (const json::Value* cat = ev.find("cat")) out.cat = cat->as_string();
+  // as_number reads null as NaN; parsed numbers are always finite.
+  out.ts_s = ev.at("ts").as_number() * 1e-6;
+  if (std::isnan(out.ts_s)) throw std::runtime_error("'ts' must be a number");
+  if (out.phase == 'X') {
+    out.dur_s = ev.at("dur").as_number() * 1e-6;
+    if (!(out.dur_s >= 0.0)) {
+      throw std::runtime_error("'dur' must be a non-negative number");
+    }
+  }
+  if (args != nullptr) {
+    // Non-numeric args (strings from other producers) are skipped; a
+    // null arg is a non-finite value and reads back as NaN.
+    for (const auto& [key, value] : args->object) {
+      if (value.type == json::Value::Type::kNumber || value.is_null()) {
+        out.args[key] = value.as_number();
+      }
+    }
+  }
+  if (is_recv_like(out) && out.has_arg("src") && !exact_int(out.arg("src"))) {
+    throw std::runtime_error("a recv's 'src' must be an integer rank in int range");
+  }
+  trace.events.push_back(std::move(out));
 }
 
 }  // namespace
 
-ParsedTrace parse_trace(const std::string& json) {
-  const JsonValue root = JsonParser(json).parse();
-  if (root.kind != JsonValue::Kind::kObject) {
-    throw std::runtime_error("trace JSON: top level must be an object");
+ParsedTrace parse_trace(std::string_view text) {
+  const json::Value root = json::parse(text);
+  const json::Value* events = root.find("traceEvents");
+  if (events == nullptr || events->type != json::Value::Type::kArray) {
+    throw std::runtime_error(
+        "trace JSON: top level must be an object with a traceEvents array");
   }
-  const JsonValue* events = root.find("traceEvents");
-  if (events == nullptr || events->kind != JsonValue::Kind::kArray) {
-    throw std::runtime_error("trace JSON: missing traceEvents array");
-  }
-
   ParsedTrace trace;
-  for (const JsonValue& ev : events->array) {
-    const std::string ph = require_string(ev, "ph");
-    const int tid = static_cast<int>(require_number(ev, "tid"));
-    const std::string name = require_string(ev, "name");
-
-    if (ph == "M") {
-      const JsonValue* args = ev.find("args");
-      if (args != nullptr) {
-        if (const JsonValue* label = args->find("name"); label != nullptr) {
-          if (name == "thread_name") trace.track_names[tid] = label->string;
-          if (name == "process_name") trace.process_name = label->string;
-        }
-      }
-      continue;
+  for (std::size_t i = 0; i < events->array.size(); ++i) {
+    try {
+      read_event(events->array[i], trace);
+    } catch (const std::runtime_error& e) {
+      throw std::runtime_error("trace JSON: event " + std::to_string(i) + ": " + e.what());
     }
-
-    ParsedEvent out;
-    out.phase = ph.empty() ? '?' : ph[0];
-    out.tid = tid;
-    out.name = name;
-    if (const JsonValue* cat = ev.find("cat"); cat != nullptr) out.cat = cat->string;
-    out.ts_s = require_number(ev, "ts") * 1e-6;
-    if (out.phase == 'X') out.dur_s = require_number(ev, "dur") * 1e-6;
-    if (const JsonValue* args = ev.find("args"); args != nullptr) {
-      for (const auto& [key, value] : args->object) {
-        if (value.kind == JsonValue::Kind::kNumber) out.args[key] = value.number;
-      }
-    }
-    trace.events.push_back(std::move(out));
   }
   return trace;
 }
 
-ParsedTrace parse_trace(std::istream& is) {
+ParsedTrace load_trace(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) throw std::runtime_error("load_trace: cannot open " + path);
   std::ostringstream buffer;
   buffer << is.rdbuf();
   return parse_trace(buffer.str());
 }
 
-ParsedTrace load_trace(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("load_trace: cannot open " + path);
-  return parse_trace(is);
-}
-
 std::vector<int> ParsedTrace::rank_tracks() const {
   std::vector<std::pair<int, int>> ranked;  // (rank, tid)
   for (const auto& [tid, name] : track_names) {
-    if (name.rfind("rank ", 0) == 0) {
-      ranked.emplace_back(std::atoi(name.c_str() + 5), tid);
-    }
+    if (name.rfind("rank ", 0) != 0) continue;
+    const char* const last = name.data() + name.size();
+    int rank = 0;
+    const auto [ptr, ec] = std::from_chars(name.data() + 5, last, rank);
+    if (ec == std::errc{} && ptr == last) ranked.emplace_back(rank, tid);
   }
   std::sort(ranked.begin(), ranked.end());
   std::vector<int> tids;
@@ -320,13 +162,6 @@ std::vector<RankBreakdown> per_rank_breakdown(const ParsedTrace& trace) {
   }
   return out;
 }
-
-namespace {
-
-bool is_recv_like(const ParsedEvent& e) { return e.name == "recv" || e.name == "irecv"; }
-bool is_send_like(const ParsedEvent& e) { return e.name == "send" || e.name == "isend"; }
-
-}  // namespace
 
 std::vector<PathSegment> critical_path(const ParsedTrace& trace) {
   const std::vector<int> ranks = trace.rank_tracks();
@@ -390,10 +225,11 @@ std::vector<LateSender> late_senders(const ParsedTrace& trace) {
   for (const ParsedEvent& e : trace.events) {
     if (e.phase != 'X' || !is_recv_like(e) || !e.has_arg("src")) continue;
     const double wait = e.arg("wait_s");
-    if (wait <= 0.0) continue;
-    const int src = static_cast<int>(e.arg("src"));
-    LateSender& entry = by_src[src];
-    entry.src_rank = src;
+    if (!(wait > 0.0)) continue;  // also skips NaN, which would break the sort
+    const std::optional<int> src = exact_int(e.arg("src"));
+    if (!src) continue;
+    LateSender& entry = by_src[*src];
+    entry.src_rank = *src;
     entry.blocked_s += wait;
     ++entry.waits;
   }

@@ -6,9 +6,9 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sci::obs {
@@ -35,15 +35,19 @@ struct ParsedTrace {
   std::map<int, std::string> track_names;   ///< from thread_name metadata
   std::string process_name;
 
-  /// Track ids labeled "rank N", ascending by N.
+  /// Track ids labeled exactly "rank N" (N an int), ascending by N.
   [[nodiscard]] std::vector<int> rank_tracks() const;
 };
 
-/// Parses TraceSink output. Throws std::runtime_error with a position
-/// message on malformed JSON or events missing required keys -- this is
-/// the schema check the tests rely on.
-[[nodiscard]] ParsedTrace parse_trace(std::istream& is);
-[[nodiscard]] ParsedTrace parse_trace(const std::string& json);
+/// Parses TraceSink output with obs::json::parse. Throws
+/// std::runtime_error with a byte offset on malformed JSON, and with
+/// the event index on a schema violation: a missing or mistyped
+/// required key, a "tid" or a recv's "src" that is not an integer in
+/// int range, or a null or negative time -- this is the schema check
+/// the tests rely on. Numeric and null args are kept (null reads back
+/// as NaN); other args are skipped.
+[[nodiscard]] ParsedTrace parse_trace(std::string_view text);
+/// Reads the whole file, then parse_trace.
 [[nodiscard]] ParsedTrace load_trace(const std::string& path);
 
 /// Where one rank's simulated time went.
@@ -75,6 +79,8 @@ struct PathSegment {
 
 /// Per sender: how long receivers sat blocked waiting for its messages
 /// (the "wait_s" argument of recv spans), i.e. late-sender attribution.
+/// A recv whose "src" is not an integer in int range, or whose wait is
+/// not positive, is skipped.
 struct LateSender {
   int src_rank = 0;
   double blocked_s = 0.0;

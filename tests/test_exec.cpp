@@ -414,6 +414,71 @@ TEST(Ingest, PlainCsvIsNotACampaign) {
   EXPECT_EQ(loaded.dataset.rows(), 2u);
 }
 
+/// Loads `csv` (written to a temp file) through load_measurements.
+Ingested ingest_text(const std::string& csv) {
+  const std::string path = ::testing::TempDir() + "/exec_ingest_text.csv";
+  {
+    std::ofstream os(path);
+    os << csv;
+  }
+  struct Remove {
+    std::string path;
+    ~Remove() { std::remove(path.c_str()); }
+  } remove{path};
+  return load_measurements(path);
+}
+
+/// A one-row campaign export whose `config` and `rep` cells are given.
+std::string campaign_row(const std::string& config, const std::string& rep) {
+  return "config,rep,sample,value\n" + config + "," + rep + ",0,1.5\n";
+}
+
+// A key cell that is not a non-negative integer below 2^53 would be
+// undefined behaviour to cast to std::size_t; each is refused by row.
+TEST(Ingest, NegativeConfigKeyIsRejected) {
+  EXPECT_THROW((void)ingest_text(campaign_row("-1", "0")), std::runtime_error);
+}
+
+TEST(Ingest, NanConfigKeyIsRejected) {
+  EXPECT_THROW((void)ingest_text(campaign_row("nan", "0")), std::runtime_error);
+}
+
+TEST(Ingest, HugeRepKeyIsRejected) {
+  EXPECT_THROW((void)ingest_text(campaign_row("0", "1e30")), std::runtime_error);
+}
+
+TEST(Ingest, FractionalRepKeyIsRejectedNamingTheRow) {
+  try {
+    (void)ingest_text(campaign_row("0", "0") + "0,1.5,0,2.5\n");
+    ADD_FAILURE() << "a fractional rep was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("data row 2: 'rep'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Ingest, LargestExactKeyIsAccepted) {
+  const Ingested loaded = ingest_text(campaign_row("9007199254740991", "0"));
+  ASSERT_EQ(loaded.cells.size(), 1u);
+  EXPECT_EQ(loaded.cells[0].config, 9007199254740991u);
+}
+
+// A header count with a leading '-' is junk, not 2^64 - 1: it degrades
+// like any other junk (a count to 0, the rep-count list to empty).
+TEST(Ingest, NegativeHeaderCountIsJunk) {
+  const Ingested loaded = ingest_text(
+      "# env.campaign.failed: -1\n# env.campaign.rounds: 3\n" + campaign_row("0", "0"));
+  EXPECT_EQ(loaded.failed, 0u);
+  EXPECT_EQ(loaded.rounds, 3u);
+}
+
+TEST(Ingest, NegativeRepCountEmptiesTheList) {
+  const std::string row = campaign_row("0", "0");
+  EXPECT_EQ(ingest_text("# env.campaign.rep_counts: 2,3\n" + row).rep_counts,
+            (std::vector<std::size_t>{2, 3}));
+  EXPECT_TRUE(ingest_text("# env.campaign.rep_counts: 2,-3\n" + row).rep_counts.empty());
+}
+
 // ---------------------------------------------------------------- traces
 
 #if SCIBENCH_TRACING

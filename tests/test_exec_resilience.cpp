@@ -21,6 +21,7 @@
 #include "exec/runner.hpp"
 #include "exec/sim_backend.hpp"
 #include "exec/wire.hpp"
+#include "mutation.hpp"
 #include "obs/json.hpp"
 #include "rng/xoshiro.hpp"
 
@@ -429,19 +430,11 @@ TEST(Journal, SurvivesTruncationAndByteMutations) {
   }
 
   rng::Xoshiro256 gen(0x6a6f75726e616c);
-  const auto below = [&gen](std::size_t n) { return static_cast<std::size_t>(gen() % n); };
   constexpr int kMutationsPerKind = 400;
-  for (int kind = 0; kind < 3; ++kind) {
+  for (int kind = 0; kind < fuzz::kMutationKinds; ++kind) {
     for (int i = 0; i < kMutationsPerKind; ++i) {
       std::string bytes = full;
-      const std::size_t at = below(bytes.size());
-      if (kind == 0) {
-        bytes[at] = static_cast<char>(bytes[at] ^ static_cast<char>(1 + below(255)));
-      } else if (kind == 1) {
-        bytes.insert(at, 1, static_cast<char>(below(256)));
-      } else {
-        bytes.erase(at, 1);
-      }
+      const std::size_t at = fuzz::mutate(bytes, kind, gen);
       write_file(path, bytes);
       try {
         CampaignJournal journal(path, fp);
@@ -514,19 +507,11 @@ TEST(CsvExport, SurvivesTruncationAndByteMutations) {
   EXPECT_GT(loaded_with_rows, want.rows());
 
   rng::Xoshiro256 gen(0x637376);
-  const auto below = [&gen](std::size_t n) { return static_cast<std::size_t>(gen() % n); };
   constexpr int kMutationsPerKind = 150;
-  for (int kind = 0; kind < 3; ++kind) {
+  for (int kind = 0; kind < fuzz::kMutationKinds; ++kind) {
     for (int i = 0; i < kMutationsPerKind; ++i) {
       std::string bytes = full;
-      const std::size_t at = below(bytes.size());
-      if (kind == 0) {
-        bytes[at] = static_cast<char>(bytes[at] ^ static_cast<char>(1 + below(255)));
-      } else if (kind == 1) {
-        bytes.insert(at, 1, static_cast<char>(below(256)));
-      } else {
-        bytes.erase(at, 1);
-      }
+      fuzz::mutate(bytes, kind, gen);
       (void)try_load(bytes);
     }
   }

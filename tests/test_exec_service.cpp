@@ -551,20 +551,42 @@ TEST(UnixSocket, LineTransportRoundTrips) {
   ::unlink(path.c_str());
 }
 
+/// scibenchd's accept loop, serving `clients` connections in turn.
+std::thread serve_in_turn(CampaignService& service, int listen_fd, int clients) {
+  return std::thread([&service, listen_fd, clients] {
+    for (int i = 0; i < clients; ++i) {
+      const int fd = ::accept(listen_fd, nullptr, nullptr);
+      if (fd < 0) return;
+      serve_client(service, fd);
+    }
+  });
+}
+
+/// Submits a small grid campaign named `name` to the daemon listening
+/// on `path`; true when its event stream ends with "done".
+bool submission_runs_to_done(const std::string& path, const std::string& name) {
+  const int client = connect_unix(path);
+  const std::string campaign = wire::campaign_to_json(grid_spec(name), small_sim_options());
+  if (!write_line_fd(client, "{\"op\": \"submit\"}") || !write_line_fd(client, campaign)) {
+    ::close(client);
+    return false;
+  }
+  std::string reply;
+  bool done = false;
+  while (read_line_fd(client, reply)) {
+    done = done || reply.find("\"event\": \"done\"") != std::string::npos;
+  }
+  ::close(client);
+  return done;
+}
+
 TEST(UnixSocket, OversizedSubmissionLineIsRejectedAndNextClientServed) {
   ProcessPool pool(pool_options(1));
   CampaignService service(pool);
   const std::string path = temp_path("svc_hostile.sock");
   const int listen_fd = listen_unix(path);
   ASSERT_GE(listen_fd, 0);
-  // scibenchd's accept loop, serving two clients in turn.
-  std::thread daemon([&service, listen_fd] {
-    for (int i = 0; i < 2; ++i) {
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
-      if (fd < 0) return;
-      serve_client(service, fd);
-    }
-  });
+  std::thread daemon = serve_in_turn(service, listen_fd, 2);
 
   // A hostile client: one byte more than the cap, and no newline.
   const int hostile = connect_unix(path);
@@ -585,16 +607,33 @@ TEST(UnixSocket, OversizedSubmissionLineIsRejectedAndNextClientServed) {
   ::close(hostile);
 
   // The daemon still serves the next client's submission to the end.
-  const int client = connect_unix(path);
-  EXPECT_TRUE(write_line_fd(client, "{\"op\": \"submit\"}"));
-  EXPECT_TRUE(write_line_fd(
-      client, wire::campaign_to_json(grid_spec("svc_after_flood"), small_sim_options())));
-  bool done = false;
-  while (read_line_fd(client, reply)) {
-    done = done || reply.find("\"event\": \"done\"") != std::string::npos;
-  }
-  ::close(client);
-  EXPECT_TRUE(done);
+  EXPECT_TRUE(submission_runs_to_done(path, "svc_after_flood"));
+
+  daemon.join();
+  ::close(listen_fd);
+  ::unlink(path.c_str());
+}
+
+TEST(UnixSocket, DeeplyNestedSubmissionIsRejectedAndNextClientServed) {
+  ProcessPool pool(pool_options(1));
+  CampaignService service(pool);
+  const std::string path = temp_path("svc_nested.sock");
+  const int listen_fd = listen_unix(path);
+  ASSERT_GE(listen_fd, 0);
+  std::thread daemon = serve_in_turn(service, listen_fd, 2);
+
+  // A hostile client: a campaign line of 200,000 '[' -- under the line
+  // cap, but deep enough to overflow a parser without a depth bound.
+  const int hostile = connect_unix(path);
+  EXPECT_TRUE(write_line_fd(hostile, "{\"op\": \"submit\"}"));
+  EXPECT_TRUE(write_line_fd(hostile, std::string(200000, '[')));
+  std::string reply;
+  EXPECT_TRUE(read_line_fd(hostile, reply));
+  EXPECT_NE(reply.find("\"event\": \"rejected\""), std::string::npos) << reply;
+  EXPECT_NE(reply.find("nesting deeper than"), std::string::npos) << reply;
+  ::close(hostile);
+
+  EXPECT_TRUE(submission_runs_to_done(path, "svc_after_nesting"));
 
   daemon.join();
   ::close(listen_fd);

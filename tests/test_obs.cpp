@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "core/dataset.hpp"
 #include "core/experiment.hpp"
 #include "core/report.hpp"
+#include "mutation.hpp"
 #include "obs/counters.hpp"
 #include "obs/provenance.hpp"
 #include "obs/trace.hpp"
@@ -73,6 +75,64 @@ TEST(TraceSink, ParserRejectsMalformedJson) {
   EXPECT_THROW((void)parse_trace(std::string(
                    R"({"traceEvents":[{"ph":"X","name":"a"}]})")),
                std::runtime_error);
+}
+
+// --------------------------------------------------------- trace reader
+
+/// One trace around `events` (comma-joined JSON objects).
+std::string trace_of(const std::string& events) {
+  return R"({"traceEvents":[)" + events + "]}";
+}
+
+TEST(TraceRead, HostileTracesThrowTypedErrors) {
+  const std::string rank0 =
+      R"({"name":"thread_name","ph":"M","tid":0,"args":{"name":"rank 0"}})";
+  for (const std::string& text : {
+           trace_of(R"({"name":"a","ph":"X","tid":0,"ts":0,"dur":1,"args":{"x":nuxx}})"),
+           trace_of(R"({"name":"a","ph":"X","tid":1e30,"ts":0,"dur":1})"),
+           trace_of(rank0 + R"(,{"name":"recv","ph":"X","tid":0,"ts":0,"dur":1,)"
+                            R"("args":{"src":1e300,"wait_s":1}})"),
+           trace_of(R"({"name":"a\uzzzz","ph":"X","tid":0,"ts":0,"dur":1})"),
+           trace_of(R"({"name":"a","ph":"X","tid":0,"ts":nan,"dur":1})"),
+           trace_of(R"({"name":"a","ph":"X","tid":0,"ts":null,"dur":1})"),
+           trace_of(R"({"name":"a","ph":"X","tid":0,"ts":0,"dur":-1})"),
+           trace_of(R"({"name":"a","ph":"X","tid":0.5,"ts":0,"dur":1})"),
+           trace_of(R"({"name":"thread_name","ph":"M","tid":0,"args":{"name":3}})"),
+           std::string(R"({"traceEvents":{}})"),
+       }) {
+    EXPECT_THROW((void)parse_trace(text), std::runtime_error) << text;
+  }
+}
+
+TEST(TraceRead, NonFiniteArgIsWrittenAsNullAndReadAsNaN) {
+  TraceSink sink;
+  sink.complete(0, "compute", "compute", 0.0, 1e-6, {{"noise_s", std::nan("")}});
+  const std::string json = sink.to_json();
+  EXPECT_NE(json.find(R"("noise_s":null)"), std::string::npos) << json;
+  const ParsedTrace trace = parse_trace(json);
+  ASSERT_EQ(trace.events.size(), 1u);
+  EXPECT_TRUE(std::isnan(trace.events[0].arg("noise_s")));
+}
+
+TEST(TraceRead, RankTracksNeedAWholeRankNumber) {
+  ParsedTrace trace;
+  trace.track_names = {{0, "rank 1"}, {1, "rank 0"}, {2, "rank 2x"}, {3, "rank "},
+                       {4, "rank 99999999999"}, {5, "wire 0"}};
+  EXPECT_EQ(trace.rank_tracks(), (std::vector<int>{1, 0}));
+}
+
+TEST(TraceRead, LateSendersSkipASourceOutsideIntRange) {
+  ParsedTrace trace;
+  for (const double src : {1e300, -1.0, 2.5, 3.0}) {
+    ParsedEvent recv;
+    recv.name = "recv";
+    recv.args = {{"src", src}, {"wait_s", 1.0}};
+    trace.events.push_back(recv);
+  }
+  const auto senders = late_senders(trace);
+  ASSERT_EQ(senders.size(), 2u);  // -1 is an int; 1e300 and 2.5 are not
+  EXPECT_EQ(senders[0].src_rank, -1);
+  EXPECT_EQ(senders[1].src_rank, 3);
 }
 
 // ------------------------------------------------------------- counters
@@ -230,6 +290,49 @@ TEST(SimTrace, LateSendersAttributeReceiverBlockTime) {
     EXPECT_LE(s.blocked_s, prev + 1e-12);  // sorted, worst offender first
     prev = s.blocked_s;
   }
+}
+
+/// A real 16-rank reduce trace, attacked byte by byte: truncations and
+/// seeded byte flips, insertions and deletions. Each mutant must load or
+/// throw std::runtime_error, and a loaded one must go through every
+/// analysis (ASan/UBSan watch for the rest).
+TEST(SimTrace, MutatedTracesLoadOrThrowAndAnalyze) {
+  const std::string full = traced_reduce_json(16, 42);
+  std::size_t loaded = 0;
+  const auto attack = [&loaded](const std::string& bytes) {
+    ParsedTrace trace;
+    try {
+      trace = parse_trace(bytes);
+    } catch (const std::runtime_error&) {
+      return;
+    }
+    ++loaded;
+    (void)per_rank_breakdown(trace);
+    (void)critical_path(trace);
+    (void)late_senders(trace);
+  };
+  // Every 31st cut keeps the test fast; any cut before the closing
+  // brace must throw.
+  const std::size_t closing = full.rfind('}');
+  for (std::size_t cut = 0; cut <= closing; cut += 31) {
+    EXPECT_THROW((void)parse_trace(full.substr(0, cut)), std::runtime_error)
+        << "cut=" << cut;
+  }
+  attack(full.substr(0, closing + 1));
+  EXPECT_EQ(loaded, 1u);
+
+  rng::Xoshiro256 gen(0x7472616365);
+  constexpr int kMutationsPerKind = 200;
+  for (int kind = 0; kind < fuzz::kMutationKinds; ++kind) {
+    for (int i = 0; i < kMutationsPerKind; ++i) {
+      std::string bytes = full;
+      fuzz::mutate(bytes, kind, gen);
+      attack(bytes);
+    }
+  }
+  // Most single-byte damage lands in a name, a number or whitespace and
+  // still loads, so the analyses really ran on mutated traces.
+  EXPECT_GT(loaded, 100u);
 }
 
 #endif  // SCIBENCH_TRACING
