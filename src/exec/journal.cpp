@@ -3,6 +3,8 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
+#include <iterator>
 #include <stdexcept>
 #include <string_view>
 
@@ -63,6 +65,57 @@ void check_header(const std::string& path, const std::string& line,
   }
 }
 
+/// The members of one cell or stop record line.
+struct Record {
+  std::string kind;
+  std::size_t config = 0;
+  std::size_t rep = 0;
+  std::uint64_t seed = 0;
+  std::size_t attempts = 0;
+  CellResult result;
+  std::size_t reps = 0;
+  std::string reason;
+};
+
+/// Reads one record line in a single pass, the cell result's samples
+/// straight into `result` (wire::read_cell_result). Every known member
+/// is read with its type whatever the kind; the kind decides which must
+/// be present. Throws std::runtime_error on a torn or malformed line.
+Record read_record(std::string_view line) {
+  enum Key : std::size_t { kKind, kConfig, kRep, kSeed, kAttempts, kResult, kReps, kReason };
+  static constexpr std::string_view kKeys[] = {"kind",     "config", "rep",  "seed",
+                                               "attempts", "result", "reps", "reason"};
+  const auto bits = [](std::initializer_list<Key> keys) {
+    std::uint64_t mask = 0;
+    for (const Key k : keys) mask |= std::uint64_t{1} << k;
+    return mask;
+  };
+  Record r;
+  std::uint64_t seen = 0;
+  json::Reader in(line);
+  in.begin_object();
+  for (std::size_t key = 0; (key = in.next_member(kKeys, seen)) != std::size(kKeys);) {
+    switch (key) {
+      case kKind: r.kind = in.string(); break;
+      case kConfig: r.config = in.size(); break;
+      case kRep: r.rep = in.size(); break;
+      case kSeed: r.seed = wire::parse_hex_u64(in.string()); break;
+      case kAttempts: r.attempts = in.size(); break;
+      case kResult: r.result = wire::read_cell_result(in); break;
+      case kReps: r.reps = in.size(); break;
+      case kReason: r.reason = in.string(); break;
+    }
+  }
+  in.finish();
+  json::require_keys(kKeys, seen, bits({kKind, kConfig}));
+  if (r.kind == "cell") {
+    json::require_keys(kKeys, seen, bits({kRep, kSeed, kAttempts, kResult}));
+  } else if (r.kind == "stop") {
+    json::require_keys(kKeys, seen, bits({kReps, kReason}));
+  }
+  return r;
+}
+
 /// Writes one line and flushes it before returning, so a crash leaves
 /// at most one torn line at the tail.
 void write_line(std::FILE* file, std::string& line) {
@@ -111,18 +164,12 @@ CampaignJournal::CampaignJournal(std::string path, std::uint64_t fingerprint)
         continue;
       }
       try {
-        const json::Value record = json::parse(line);
-        const std::string& kind = record.at("kind").as_string();
-        const std::size_t config_index = record.at("config").as_size();
-        if (kind == "cell") {
-          const std::size_t rep = record.at("rep").as_size();
-          const std::uint64_t seed = wire::parse_hex_u64(record.at("seed").as_string());
-          CellResult result = wire::parse_cell_result(record.at("result"));
-          result.attempts = record.at("attempts").as_size();
-          records_[{config_index, rep}] = {seed, std::move(result)};
-        } else if (kind == "stop") {
-          stops_[config_index] =
-              StopRecord{record.at("reps").as_size(), record.at("reason").as_string()};
+        Record record = read_record(line);
+        if (record.kind == "cell") {
+          record.result.attempts = record.attempts;
+          records_[{record.config, record.rep}] = {record.seed, std::move(record.result)};
+        } else if (record.kind == "stop") {
+          stops_[record.config] = StopRecord{record.reps, std::move(record.reason)};
         }
       } catch (const std::runtime_error&) {
         // Torn or malformed record: skipped, as described above.

@@ -7,8 +7,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 
 #include "exec/wire.hpp"
 
@@ -32,15 +35,16 @@ bool write_all(int fd, const char* data, std::size_t size) {
   return true;
 }
 
-/// Reads one newline-terminated line; false on EOF/error (dead worker).
-bool read_line(std::FILE* stream, std::string& line) {
-  line.clear();
-  for (;;) {
-    const int c = std::fgetc(stream);
-    if (c == EOF) return false;
-    if (c == '\n') return true;
-    line.push_back(static_cast<char>(c));
-  }
+/// Reads one newline-terminated line into `buffer` with getline(3),
+/// which reuses and grows the allocation; `line` views it without the
+/// newline. False on EOF/error or a final line without its newline
+/// (dead worker).
+bool read_line(std::FILE* stream, char*& buffer, std::size_t& capacity,
+               std::string_view& line) {
+  const ssize_t n = ::getline(&buffer, &capacity, stream);
+  if (n <= 0 || buffer[n - 1] != '\n') return false;
+  line = std::string_view(buffer, static_cast<std::size_t>(n) - 1);
+  return true;
 }
 
 }  // namespace
@@ -122,6 +126,7 @@ std::unique_ptr<ProcessPool::Worker> ProcessPool::spawn() {
 void ProcessPool::destroy(Worker& worker, bool wait_for_exit) {
   if (worker.to_child >= 0) ::close(worker.to_child);  // EOF: worker exits
   if (worker.from_child != nullptr) std::fclose(worker.from_child);
+  std::free(worker.reply);
   if (worker.pid > 0) {
     if (!wait_for_exit) ::kill(worker.pid, SIGKILL);
     int status = 0;
@@ -130,6 +135,8 @@ void ProcessPool::destroy(Worker& worker, bool wait_for_exit) {
   }
   worker.to_child = -1;
   worker.from_child = nullptr;
+  worker.reply = nullptr;
+  worker.reply_capacity = 0;
   worker.pid = -1;
 }
 
@@ -147,9 +154,10 @@ CellResult ProcessPool::run(const SimBackendOptions& backend, const Config& conf
       free_.pop_back();
     }
 
-    std::string reply;
-    const bool ok = write_all(worker->to_child, job.data(), job.size()) &&
-                    read_line(worker->from_child, reply);
+    std::string_view reply;
+    const bool ok =
+        write_all(worker->to_child, job.data(), job.size()) &&
+        read_line(worker->from_child, worker->reply, worker->reply_capacity, reply);
     if (ok) {
       CellResult result;
       bool parsed = true;

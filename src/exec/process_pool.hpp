@@ -87,6 +87,8 @@ class ProcessPool {
     pid_t pid = -1;
     int to_child = -1;      ///< job lines out
     std::FILE* from_child = nullptr;  ///< result lines in (fdopen'd)
+    char* reply = nullptr;            ///< getline(3) buffer, reused per reply
+    std::size_t reply_capacity = 0;
   };
 
   [[nodiscard]] std::unique_ptr<Worker> spawn();

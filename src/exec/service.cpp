@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -349,19 +350,36 @@ bool write_line_fd(int fd, const std::string& line) {
 
 bool read_line_fd(int fd, std::string& line, std::size_t max_bytes) {
   line.clear();
+  char block[kLineBlockBytes];
   for (;;) {
-    char c = 0;
-    const ssize_t n = ::read(fd, &c, 1);
+    // Look at what has arrived without taking it, then take exactly the
+    // bytes through the newline: whatever follows stays in the socket
+    // for the next call.
+    ssize_t n = ::recv(fd, block, sizeof block, MSG_PEEK);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
     }
     if (n == 0) return false;  // EOF mid-line: dead peer
-    if (c == '\n') return true;
-    if (line.size() == max_bytes) {
+    const void* newline = std::memchr(block, '\n', static_cast<std::size_t>(n));
+    const std::size_t take =
+        newline == nullptr
+            ? static_cast<std::size_t>(n)
+            : static_cast<std::size_t>(static_cast<const char*>(newline) - block) + 1;
+    std::size_t got = 0;
+    while (got < take) {
+      n = ::recv(fd, block + got, take - got, MSG_WAITALL);
+      if (n > 0) {
+        got += static_cast<std::size_t>(n);
+      } else if (n == 0 || errno != EINTR) {
+        return false;
+      }
+    }
+    line.append(block, newline == nullptr ? take : take - 1);
+    if (line.size() > max_bytes) {
       throw std::runtime_error("line longer than " + std::to_string(max_bytes) + " bytes");
     }
-    line.push_back(c);
+    if (newline != nullptr) return true;
   }
 }
 
@@ -404,7 +422,12 @@ void serve_client(CampaignService& service, int fd) {
         return v == nullptr ? std::string() : v->as_string();
       };
       if (const json::Value* v = header.find("priority")) {
-        sub.priority = static_cast<int>(v->as_number());
+        const std::optional<int> priority =
+            v->type == json::Value::Type::kNumber ? json::exact_int(v->number) : std::nullopt;
+        if (!priority) {
+          throw std::runtime_error("\"priority\" must be an integer in int range");
+        }
+        sub.priority = *priority;
       }
       sub.journal_path = str("journal");
       sub.samples_csv = str("samples_csv");

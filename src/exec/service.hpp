@@ -183,9 +183,20 @@ class CampaignService {
 /// Writes `line` + '\n'; false on a dead peer (never throws, never
 /// raises SIGPIPE -- callers sit in event loops).
 bool write_line_fd(int fd, const std::string& line);
-/// Reads one '\n'-terminated line; false on EOF/error. A line longer
-/// than `max_bytes` (newline excluded) throws std::runtime_error after
-/// max_bytes + 1 bytes have been consumed.
+/// Bytes read_line_fd looks ahead per system call.
+inline constexpr std::size_t kLineBlockBytes = 4096;
+
+/// Reads one '\n'-terminated line from a connected stream socket (it
+/// uses recv(2) with MSG_PEEK; on any other fd it returns false).
+/// Stateless: it consumes the line through its newline and never past
+/// it, so the next line stays in the socket for the next call or
+/// another reader. Each step peeks at up to kLineBlockBytes, then takes
+/// the bytes up to and including the first newline among them -- two
+/// system calls per block, not one per byte. Returns false on EOF
+/// (also mid-line) or error. A line longer than `max_bytes` (newline
+/// excluded) throws std::runtime_error ("line longer than N bytes")
+/// once more than max_bytes bytes of it are read, which is after at
+/// most max_bytes + kLineBlockBytes bytes have been consumed.
 bool read_line_fd(int fd, std::string& line,
                   std::size_t max_bytes = std::numeric_limits<std::size_t>::max());
 

@@ -1,7 +1,9 @@
 #include "exec/wire.hpp"
 
+#include <array>
 #include <bit>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 
 #include "obs/json.hpp"
@@ -13,6 +15,19 @@ namespace json = obs::json;
 namespace {
 
 constexpr char kHexDigits[] = "0123456789abcdef";
+
+/// Value of each lowercase hex digit, -1 for every other byte.
+constexpr std::array<std::int8_t, 256> kHexValue = [] {
+  std::array<std::int8_t, 256> table{};
+  table.fill(-1);
+  for (int c = '0'; c <= '9'; ++c) {
+    table[static_cast<std::size_t>(c)] = static_cast<std::int8_t>(c - '0');
+  }
+  for (int c = 'a'; c <= 'f'; ++c) {
+    table[static_cast<std::size_t>(c)] = static_cast<std::int8_t>(c - 'a' + 10);
+  }
+  return table;
+}();
 
 SimKernel kernel_from_string(const std::string& text) {
   if (text == "pingpong") return SimKernel::kPingPong;
@@ -124,16 +139,17 @@ std::uint64_t parse_hex_u64(std::string_view text) {
     throw std::runtime_error("wire: hex u64 must be 16 digits, got \"" +
                              std::string(text) + "\"");
   }
+  // Every cell sample passes here, and random digits defeat a branch
+  // on digit-or-letter: look each one up, and check them all at once.
   std::uint64_t value = 0;
-  for (char c : text) {
-    value <<= 4;
-    if (c >= '0' && c <= '9') {
-      value |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      value |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      throw std::runtime_error("wire: bad hex digit in \"" + std::string(text) + "\"");
-    }
+  int bad = 0;
+  for (const char c : text) {
+    const int digit = kHexValue[static_cast<unsigned char>(c)];
+    bad |= digit;
+    value = value << 4 | static_cast<std::uint64_t>(digit & 0xf);
+  }
+  if (bad < 0) {
+    throw std::runtime_error("wire: bad hex digit in \"" + std::string(text) + "\"");
   }
   return value;
 }
@@ -341,21 +357,48 @@ void append_cell_result(std::string& out, const CellResult& result) {
   out += "]}";
 }
 
-CellResult parse_cell_result(const json::Value& root) {
-  check_schema(root, "scibench.cell");
+CellResult read_cell_result(json::Reader& in) {
+  enum Key : std::size_t {
+    kKeySchema,
+    kKeyVersion,
+    kKeyUnit,
+    kKeyStopReason,
+    kKeyWarmup,
+    kKeyError,
+    kKeySamples,
+  };
+  static constexpr std::string_view kKeys[] = {
+      "schema", "version", "unit", "stop_reason", "warmup_discarded", "error", "samples"};
   CellResult result;
-  result.unit = root.at("unit").as_string();
-  result.stop_reason = root.at("stop_reason").as_string();
-  result.warmup_discarded = root.at("warmup_discarded").as_size();
-  result.error = root.at("error").as_string();
-  const json::Value& samples = root.at("samples");
-  if (samples.type != json::Value::Type::kArray) {
-    throw std::runtime_error("wire: \"samples\" must be an array");
+  std::uint64_t seen = 0;
+  in.begin_object();
+  for (std::size_t key = 0; (key = in.next_member(kKeys, seen)) != std::size(kKeys);) {
+    switch (key) {
+      case kKeySchema:
+        if (const std::string_view schema = in.string(); schema != "scibench.cell") {
+          throw std::runtime_error("wire: expected schema \"scibench.cell\", got \"" +
+                                   std::string(schema) + "\"");
+        }
+        break;
+      case kKeyVersion:
+        if (in.size() != static_cast<std::size_t>(kVersion)) {
+          throw std::runtime_error("wire: unsupported version for schema \"scibench.cell\"");
+        }
+        break;
+      case kKeyUnit: result.unit = in.string(); break;
+      case kKeyStopReason: result.stop_reason = in.string(); break;
+      case kKeyWarmup: result.warmup_discarded = in.size(); break;
+      case kKeyError: result.error = in.string(); break;
+      case kKeySamples:
+        if (in.peek() != json::Value::Type::kArray) {
+          throw std::runtime_error("wire: \"samples\" must be an array");
+        }
+        in.begin_array();
+        while (in.next_element()) result.samples.push_back(parse_hex_double(in.string()));
+        break;
+    }
   }
-  result.samples.reserve(samples.array.size());
-  for (const auto& s : samples.array) {
-    result.samples.push_back(parse_hex_double(s.as_string()));
-  }
+  json::require_keys(kKeys, seen, ~std::uint64_t{0});
   return result;
 }
 
@@ -366,7 +409,10 @@ std::string cell_result_to_json(const CellResult& result) {
 }
 
 CellResult parse_cell_result_json(std::string_view text) {
-  return parse_cell_result(json::parse(text));
+  json::Reader in(text);
+  CellResult result = read_cell_result(in);
+  in.finish();
+  return result;
 }
 
 }  // namespace sci::exec::wire

@@ -44,7 +44,7 @@
 #include "exec/sim_backend.hpp"
 
 namespace sci::obs::json {
-struct Value;
+class Reader;
 }
 
 namespace sci::exec::wire {
@@ -87,9 +87,12 @@ struct JobSpec {
 /// hex bit patterns; error text passes through quoted. `attempts` is
 /// not part of the object: the runner sets it and the journal stores it.
 void append_cell_result(std::string& out, const CellResult& result);
-/// Decodes an already parsed "scibench.cell" object; throws
-/// std::runtime_error on a schema, key or type mismatch.
-[[nodiscard]] CellResult parse_cell_result(const obs::json::Value& root);
+/// Reads one "scibench.cell" object, the next value of `in`, decoding
+/// each hex sample straight into CellResult::samples (no tree). Members
+/// may come in any order and unknown ones are skipped; of a repeated
+/// member the first counts (as with obs::json::Value::find). Throws
+/// std::runtime_error on a syntax, schema, key or type error.
+[[nodiscard]] CellResult read_cell_result(obs::json::Reader& in);
 /// One-line wrappers over the two above, for whole-line transports.
 [[nodiscard]] std::string cell_result_to_json(const CellResult& result);
 [[nodiscard]] CellResult parse_cell_result_json(std::string_view text);

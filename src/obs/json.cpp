@@ -8,202 +8,268 @@ namespace sci::obs::json {
 
 namespace {
 
-[[noreturn]] void fail(std::size_t offset, const std::string& what) {
+/// `v` as a std::size_t when it is a non-negative integer below 2^64.
+/// Converting any other double to std::size_t is undefined behaviour,
+/// so it never is.
+std::optional<std::size_t> exact_size(double v) {
+  static const double kLimit = std::ldexp(1.0, std::numeric_limits<std::size_t>::digits);
+  if (!(v >= 0.0 && v < kLimit) || v != std::floor(v)) return std::nullopt;
+  return static_cast<std::size_t>(v);
+}
+
+}  // namespace
+
+void Reader::fail(std::size_t offset, const std::string& what) const {
   throw std::runtime_error("json: " + what + " at offset " + std::to_string(offset));
 }
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Value document() {
-    Value v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail(pos_, "trailing garbage");
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail(pos_, "unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(pos_, std::string("expected '") + c + "'");
+void Reader::skip_ws() noexcept {
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
     ++pos_;
   }
+}
 
-  bool consume_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
+char Reader::peek_char() {
+  skip_ws();
+  if (pos_ >= text_.size()) fail(pos_, "unexpected end of input");
+  return text_[pos_];
+}
+
+void Reader::expect(char c) {
+  if (peek_char() != c) fail(pos_, std::string("expected '") + c + "'");
+  ++pos_;
+}
+
+Value::Type Reader::peek() {
+  switch (peek_char()) {
+    case '{': return Value::Type::kObject;
+    case '[': return Value::Type::kArray;
+    case '"': return Value::Type::kString;
+    case 't':
+    case 'f': return Value::Type::kBool;
+    case 'n': return Value::Type::kNull;
+    default: return Value::Type::kNumber;
+  }
+}
+
+void Reader::begin_object() {
+  expect('{');
+  if (++depth_ > kMaxDepth) {
+    fail(pos_ - 1, "nesting deeper than " + std::to_string(kMaxDepth));
+  }
+  first_ = true;
+}
+
+void Reader::begin_array() {
+  expect('[');
+  if (++depth_ > kMaxDepth) {
+    fail(pos_ - 1, "nesting deeper than " + std::to_string(kMaxDepth));
+  }
+  first_ = true;
+}
+
+// Leaving a container resumes its parent after a value, so the parent's
+// next member or element needs its comma.
+void Reader::close_container() {
+  ++pos_;
+  --depth_;
+  first_ = false;
+}
+
+bool Reader::next_member(std::string_view& key) {
+  const char c = peek_char();
+  if (c == '}') {
+    close_container();
+    return false;
+  }
+  if (!first_) {
+    if (c != ',') fail(pos_, "expected ',' or '}'");
+    ++pos_;
+  }
+  first_ = false;
+  key = string();
+  expect(':');
+  return true;
+}
+
+std::size_t Reader::next_member(std::span<const std::string_view> keys,
+                                std::uint64_t& seen) {
+  std::string_view key;
+  while (next_member(key)) {
+    std::size_t i = 0;
+    while (i < keys.size() && keys[i] != key) ++i;
+    if (i < keys.size() && (seen & (std::uint64_t{1} << i)) == 0) {
+      seen |= std::uint64_t{1} << i;
+      return i;
+    }
+    skip();
+  }
+  return keys.size();
+}
+
+bool Reader::next_element() {
+  const char c = peek_char();
+  if (c == ']') {
+    close_container();
+    return false;
+  }
+  if (!first_) {
+    if (c != ',') fail(pos_, "expected ',' or ']'");
+    ++pos_;
+  }
+  first_ = false;
+  return true;
+}
+
+std::string_view Reader::string() {
+  expect('"');
+  // The common case has no escapes: the string is a view of the input.
+  const std::size_t start = pos_;
+  while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') ++pos_;
+  if (pos_ >= text_.size()) fail(pos_, "unterminated string");
+  if (text_[pos_] == '"') {
+    ++pos_;
+    return text_.substr(start, pos_ - 1 - start);
   }
 
-  Value value() {
-    skip_ws();
-    switch (peek()) {
-      case '{':
-      case '[': {
-        // A throw abandons the whole parse, so only success unwinds.
-        if (++depth_ > kMaxDepth) {
-          fail(pos_, "nesting deeper than " + std::to_string(kMaxDepth));
+  unescaped_.assign(text_.substr(start, pos_ - start));
+  for (;;) {
+    if (pos_ >= text_.size()) fail(pos_, "unterminated string");
+    const char c = text_[pos_++];
+    if (c == '"') return unescaped_;
+    if (c != '\\') {
+      unescaped_.push_back(c);
+      continue;
+    }
+    if (pos_ >= text_.size()) fail(pos_, "unterminated escape");
+    const char e = text_[pos_++];
+    switch (e) {
+      case '"': unescaped_.push_back('"'); break;
+      case '\\': unescaped_.push_back('\\'); break;
+      case '/': unescaped_.push_back('/'); break;
+      case 'b': unescaped_.push_back('\b'); break;
+      case 'f': unescaped_.push_back('\f'); break;
+      case 'n': unescaped_.push_back('\n'); break;
+      case 'r': unescaped_.push_back('\r'); break;
+      case 't': unescaped_.push_back('\t'); break;
+      case 'u': {
+        if (pos_ + 4 > text_.size()) fail(pos_, "truncated \\u escape");
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = text_[pos_++];
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+          else fail(pos_ - 1, "bad \\u escape digit");
         }
-        Value v = peek() == '{' ? object() : array();
-        --depth_;
-        return v;
-      }
-      case '"': {
-        Value v;
-        v.type = Value::Type::kString;
-        v.string = string();
-        return v;
-      }
-      case 't': {
-        if (!consume_literal("true")) fail(pos_, "bad literal");
-        Value v;
-        v.type = Value::Type::kBool;
-        v.boolean = true;
-        return v;
-      }
-      case 'f': {
-        if (!consume_literal("false")) fail(pos_, "bad literal");
-        Value v;
-        v.type = Value::Type::kBool;
-        v.boolean = false;
-        return v;
-      }
-      case 'n': {
-        if (!consume_literal("null")) fail(pos_, "bad literal");
-        return Value{};
-      }
-      default:
-        return number();
-    }
-  }
-
-  Value object() {
-    expect('{');
-    Value v;
-    v.type = Value::Type::kObject;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      skip_ws();
-      std::string key = string();
-      skip_ws();
-      expect(':');
-      v.object.emplace_back(std::move(key), value());
-      skip_ws();
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return v;
-      if (c != ',') fail(pos_ - 1, "expected ',' or '}'");
-    }
-  }
-
-  Value array() {
-    expect('[');
-    Value v;
-    v.type = Value::Type::kArray;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      v.array.push_back(value());
-      skip_ws();
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return v;
-      if (c != ',') fail(pos_ - 1, "expected ',' or ']'");
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= text_.size()) fail(pos_, "unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) fail(pos_, "unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail(pos_, "truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail(pos_ - 1, "bad \\u escape digit");
-          }
-          // The emitter never produces \u escapes; accept the ASCII
-          // range on input so hand-written files still parse.
-          if (code > 0x7f) fail(pos_ - 4, "\\u escape above ASCII unsupported");
-          out.push_back(static_cast<char>(code));
-          break;
-        }
-        default:
-          fail(pos_ - 1, "bad escape");
-      }
-    }
-  }
-
-  Value number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' || c == '+' ||
-          c == '-') {
-        ++pos_;
-      } else {
+        // The emitter never produces \u escapes; accept the ASCII
+        // range on input so hand-written files still parse.
+        if (code > 0x7f) fail(pos_ - 4, "\\u escape above ASCII unsupported");
+        unescaped_.push_back(static_cast<char>(code));
         break;
       }
+      default:
+        fail(pos_ - 1, "bad escape");
     }
-    if (pos_ == start) fail(start, "expected a value");
-    double out = 0.0;
-    const auto [ptr, ec] =
-        std::from_chars(text_.data() + start, text_.data() + pos_, out);
-    if (ec != std::errc{} || ptr != text_.data() + pos_) fail(start, "bad number");
-    Value v;
-    v.type = Value::Type::kNumber;
-    v.number = out;
-    return v;
   }
+}
 
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::size_t depth_ = 0;
-};
+double Reader::number() {
+  (void)peek_char();
+  const std::size_t start = pos_;
+  if (text_[pos_] == '-') ++pos_;
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if ((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' || c == '+' ||
+        c == '-') {
+      ++pos_;
+    } else {
+      break;
+    }
+  }
+  if (pos_ == start) fail(start, "expected a value");
+  double out = 0.0;
+  const auto [ptr, ec] = std::from_chars(text_.data() + start, text_.data() + pos_, out);
+  if (ec != std::errc{} || ptr != text_.data() + pos_) fail(start, "bad number");
+  return out;
+}
+
+std::size_t Reader::size() {
+  (void)peek_char();
+  const std::size_t start = pos_;
+  const std::optional<std::size_t> v = exact_size(number());
+  if (!v) fail(start, "expected a non-negative integer");
+  return *v;
+}
+
+bool Reader::boolean() {
+  const char c = peek_char();
+  const std::string_view literal = c == 't' ? "true" : "false";
+  if (text_.substr(pos_, literal.size()) != literal) fail(pos_, "bad literal");
+  pos_ += literal.size();
+  return c == 't';
+}
+
+void Reader::null() {
+  if (peek_char() != 'n' || text_.substr(pos_, 4) != "null") fail(pos_, "bad literal");
+  pos_ += 4;
+}
+
+void Reader::skip() {
+  switch (peek()) {
+    case Value::Type::kObject: {
+      begin_object();
+      std::string_view key;
+      while (next_member(key)) skip();
+      return;
+    }
+    case Value::Type::kArray:
+      begin_array();
+      while (next_element()) skip();
+      return;
+    case Value::Type::kString: (void)string(); return;
+    case Value::Type::kBool: (void)boolean(); return;
+    case Value::Type::kNull: null(); return;
+    case Value::Type::kNumber: (void)number(); return;
+  }
+}
+
+void Reader::finish() {
+  skip_ws();
+  if (pos_ != text_.size()) fail(pos_, "trailing garbage");
+}
+
+namespace {
+
+/// One value from `in` as a tree. Recursion is bounded by the Reader's
+/// depth check in begin_object/begin_array.
+Value read_value(Reader& in) {
+  Value v;
+  v.type = in.peek();
+  switch (v.type) {
+    case Value::Type::kObject: {
+      in.begin_object();
+      std::string_view key;
+      while (in.next_member(key)) {
+        std::string name(key);  // `key` may not survive reading the value
+        v.object.emplace_back(std::move(name), read_value(in));
+      }
+      break;
+    }
+    case Value::Type::kArray:
+      in.begin_array();
+      while (in.next_element()) v.array.push_back(read_value(in));
+      break;
+    case Value::Type::kString: v.string = in.string(); break;
+    case Value::Type::kBool: v.boolean = in.boolean(); break;
+    case Value::Type::kNull: in.null(); break;
+    case Value::Type::kNumber: v.number = in.number(); break;
+  }
+  return v;
+}
 
 }  // namespace
 
@@ -233,17 +299,35 @@ const std::string& Value::as_string() const {
 }
 
 std::size_t Value::as_size() const {
-  const double v = as_number();
-  // Range-check before the cast: converting a double at or above 2^64
-  // to std::size_t is undefined behaviour.
-  static const double kLimit = std::ldexp(1.0, std::numeric_limits<std::size_t>::digits);
-  if (!(v >= 0.0 && v < kLimit) || v != std::floor(v)) {
-    throw std::runtime_error("json: expected a non-negative integer");
-  }
-  return static_cast<std::size_t>(v);
+  const std::optional<std::size_t> v = exact_size(as_number());
+  if (!v) throw std::runtime_error("json: expected a non-negative integer");
+  return *v;
 }
 
-Value parse(std::string_view text) { return Parser(text).document(); }
+void require_keys(std::span<const std::string_view> keys, std::uint64_t seen,
+                  std::uint64_t required) {
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::uint64_t bit = std::uint64_t{1} << i;
+    if ((required & bit) != 0 && (seen & bit) == 0) {
+      throw std::runtime_error("json: missing key '" + std::string(keys[i]) + "'");
+    }
+  }
+}
+
+std::optional<int> exact_int(double v) {
+  if (!(v >= std::numeric_limits<int>::min() && v <= std::numeric_limits<int>::max()) ||
+      v != std::floor(v)) {
+    return std::nullopt;
+  }
+  return static_cast<int>(v);
+}
+
+Value parse(std::string_view text) {
+  Reader in(text);
+  Value v = read_value(in);
+  in.finish();
+  return v;
+}
 
 std::string dump_number(double v) {
   if (!std::isfinite(v)) return "null";

@@ -5,7 +5,7 @@
 // (exec/progress.hpp), daemon metrics, the wire and journal records
 // (exec/wire.hpp), the scibench_ci history store, and Chrome traces
 // (obs/trace.hpp, read back by obs/trace_read.hpp) -- goes through
-// this one emitter/parser pair, so "emit -> parse -> re-emit" is
+// this one emitter/reader pair, so "emit -> parse -> re-emit" is
 // byte-identical by construction:
 //
 //   * numbers are written with std::to_chars (shortest representation
@@ -20,13 +20,24 @@
 // output (inputs with \uXXXX below 0x80 are accepted), doubles only.
 // It exists so the repo needs no third-party JSON dependency.
 //
+// Reading has one tokenizer, Reader: a pull cursor that hands out one
+// token at a time and builds nothing. parse() is a loop over a Reader
+// that assembles a Value tree; a hot decoder (the wire's cell results,
+// whose samples arrays run to thousands of strings) walks a Reader
+// directly and stores each token where it belongs, with no Value per
+// element. Both see the same grammar, the same errors and the same
+// depth bound.
+//
 // Every input is untrusted: malformed text, and nesting deeper than
-// kMaxDepth (the parser recurses once per array/object), throw
-// std::runtime_error rather than crash.
+// kMaxDepth, throw std::runtime_error (with a byte offset) rather than
+// crash.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -61,15 +72,95 @@ struct Value {
   [[nodiscard]] std::size_t as_size() const;
 };
 
-/// Deepest array/object nesting parse() accepts: far above the few
-/// levels any schema the repo emits uses, far below what exhausts the
-/// stack.
+/// Deepest array/object nesting a Reader (and so parse()) accepts: far
+/// above the few levels any schema the repo emits uses, far below what
+/// exhausts the stack of a recursive consumer.
 inline constexpr std::size_t kMaxDepth = 64;
 
+/// Pull cursor over the tokens of one JSON document in `text`, which
+/// must outlive the Reader. Every call skips leading whitespace, reads
+/// one token, and throws std::runtime_error ("json: <what> at offset
+/// N") on malformed input or a token of another kind. A consumer walks
+/// a document like this:
+///
+///   Reader in(text);
+///   in.begin_object();
+///   std::string_view key;
+///   while (in.next_member(key)) {
+///     if (key == "n") n = in.size(); else in.skip();
+///   }
+///   in.finish();
+///
+/// Strings come back as views: into `text` when the string has no
+/// escapes, else into a buffer the Reader reuses, so a view (and a
+/// member key) is valid only until the next call.
+class Reader {
+ public:
+  explicit Reader(std::string_view text) noexcept : text_(text) {}
+
+  /// Kind of the next value, without consuming it (a number for any
+  /// byte that starts no other value; number() then rejects it).
+  [[nodiscard]] Value::Type peek();
+
+  /// Consumes '{' / '['. Throws past kMaxDepth open containers.
+  void begin_object();
+  void begin_array();
+  /// Steps to the next member of the innermost open object: false (and
+  /// the object closed) at '}', else true with `key` read and the ':'
+  /// consumed, so the member's value is next.
+  [[nodiscard]] bool next_member(std::string_view& key);
+  /// next_member() for a fixed schema of at most 64 `keys`: steps to
+  /// the next member whose key is keys[i] and returns i, or keys.size()
+  /// at '}'. Members with other keys, and repeats (bit i of `seen` set),
+  /// are skipped: the first occurrence counts, as with Value::find.
+  /// Sets bit i of `seen`.
+  [[nodiscard]] std::size_t next_member(std::span<const std::string_view> keys,
+                                        std::uint64_t& seen);
+  /// Steps to the next element of the innermost open array: false (and
+  /// the array closed) at ']', else true with the element next.
+  [[nodiscard]] bool next_element();
+
+  [[nodiscard]] std::string_view string();
+  /// A JSON number (not null).
+  [[nodiscard]] double number();
+  /// A JSON number that is a non-negative integer below 2^64.
+  [[nodiscard]] std::size_t size();
+  [[nodiscard]] bool boolean();
+  void null();
+  /// Consumes the next value, of any kind, checking its syntax.
+  void skip();
+  /// Ends the document: only whitespace may follow the last value.
+  void finish();
+
+ private:
+  [[noreturn]] void fail(std::size_t offset, const std::string& what) const;
+  void skip_ws() noexcept;
+  char peek_char();
+  void expect(char c);
+  void close_container();
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
+  /// True right after begin_*: the next next_* call needs no comma.
+  bool first_ = false;
+  std::string unescaped_;  ///< backing store of escaped strings
+};
+
 /// Parses one JSON document (trailing whitespace allowed, trailing
-/// garbage rejected). Throws std::runtime_error with a byte offset,
-/// also for nesting deeper than kMaxDepth.
+/// garbage rejected) into a tree, through a Reader: throws what the
+/// Reader throws, including for nesting deeper than kMaxDepth.
 [[nodiscard]] Value parse(std::string_view text);
+
+/// Throws std::runtime_error naming the first keys[i] whose bit is set
+/// in `required` but not in `seen` (as filled by Reader::next_member).
+void require_keys(std::span<const std::string_view> keys, std::uint64_t seen,
+                  std::uint64_t required);
+
+/// `v` as an int when it is an integer in int's range, else nullopt.
+/// Converting any other double to int is undefined behaviour, so it
+/// never is.
+[[nodiscard]] std::optional<int> exact_int(double v);
 
 /// Canonical number emit: shortest round-trip form via std::to_chars;
 /// NaN/inf become "null".

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
-#include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -15,16 +14,6 @@
 namespace sci::obs {
 namespace {
 
-/// `v` as an int when it is an integer in int's range. Converting any
-/// other double to int is undefined behaviour, so it is never cast.
-std::optional<int> exact_int(double v) {
-  if (!(v >= std::numeric_limits<int>::min() && v <= std::numeric_limits<int>::max()) ||
-      v != std::floor(v)) {
-    return std::nullopt;
-  }
-  return static_cast<int>(v);
-}
-
 bool is_recv_like(const ParsedEvent& e) { return e.name == "recv" || e.name == "irecv"; }
 bool is_send_like(const ParsedEvent& e) { return e.name == "send" || e.name == "isend"; }
 
@@ -34,7 +23,7 @@ bool is_send_like(const ParsedEvent& e) { return e.name == "send" || e.name == "
 void read_event(const json::Value& ev, ParsedTrace& trace) {
   const std::string& ph = ev.at("ph").as_string();
   const std::string& name = ev.at("name").as_string();
-  const std::optional<int> tid = exact_int(ev.at("tid").as_number());
+  const std::optional<int> tid = json::exact_int(ev.at("tid").as_number());
   if (!tid) throw std::runtime_error("'tid' must be an integer in int range");
   const json::Value* args = ev.find("args");
 
@@ -70,7 +59,7 @@ void read_event(const json::Value& ev, ParsedTrace& trace) {
       }
     }
   }
-  if (is_recv_like(out) && out.has_arg("src") && !exact_int(out.arg("src"))) {
+  if (is_recv_like(out) && out.has_arg("src") && !json::exact_int(out.arg("src"))) {
     throw std::runtime_error("a recv's 'src' must be an integer rank in int range");
   }
   trace.events.push_back(std::move(out));
@@ -226,7 +215,7 @@ std::vector<LateSender> late_senders(const ParsedTrace& trace) {
     if (e.phase != 'X' || !is_recv_like(e) || !e.has_arg("src")) continue;
     const double wait = e.arg("wait_s");
     if (!(wait > 0.0)) continue;  // also skips NaN, which would break the sort
-    const std::optional<int> src = exact_int(e.arg("src"));
+    const std::optional<int> src = json::exact_int(e.arg("src"));
     if (!src) continue;
     LateSender& entry = by_src[*src];
     entry.src_rank = *src;

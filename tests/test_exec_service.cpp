@@ -120,6 +120,26 @@ TEST(Wire, HexU64AndDoubleRoundTrip) {
   EXPECT_THROW((void)wire::parse_hex_u64("not-hex-not-16"), std::runtime_error);
 }
 
+TEST(Wire, OnlyLowercaseHexDigitsAreAccepted) {
+  // Every byte value at every position: the sample decoder's digit
+  // table must accept exactly [0-9a-f].
+  for (std::size_t at = 0; at < 16; ++at) {
+    for (int byte = 0; byte < 256; ++byte) {
+      std::string text(16, '0');
+      text[at] = static_cast<char>(byte);
+      const bool digit = (byte >= '0' && byte <= '9') || (byte >= 'a' && byte <= 'f');
+      if (digit) {
+        const auto value = static_cast<std::uint64_t>(byte <= '9' ? byte - '0' : byte - 'a' + 10);
+        EXPECT_EQ(wire::parse_hex_u64(text), value << (4 * (15 - at)));
+      } else {
+        EXPECT_THROW((void)wire::parse_hex_u64(text), std::runtime_error)
+            << "byte " << byte << " at " << at;
+      }
+    }
+  }
+  EXPECT_THROW((void)wire::parse_hex_u64("0123456789abcde"), std::runtime_error);
+}
+
 TEST(Wire, CampaignEnvelopeRoundTripsByteIdentically) {
   CampaignSpec spec = grid_spec("wire_grid");
   spec.description = "round-trip fixture";
@@ -518,6 +538,27 @@ TEST(Interrupt, DrainedCampaignResumesToIdenticalBytes) {
   }
 }
 
+TEST(ProcessPoolBackend, ReplyLongerThanTheStdioBufferDecodesBitExactly) {
+  // 10^4 samples make a ~200 KB reply line, far past the pipe's stdio
+  // buffer, so the pool's line read spans many refills.
+  SimBackendOptions opts = small_sim_options();
+  opts.samples = 10000;
+  const Campaign campaign{grid_spec("svc_long_reply")};
+  const Config config = campaign.config(1);
+  const std::uint64_t seed = campaign.seed_for(config, 0);
+  const CellResult want = SimBackend(opts).run(config, seed);
+  ASSERT_EQ(want.samples.size(), 10000u);
+  ASSERT_GT(wire::cell_result_to_json(want).size(), std::size_t{BUFSIZ} * 16);
+
+  ProcessPool pool(pool_options(1));
+  for (int round = 0; round < 2; ++round) {  // the second reuses the grown buffer
+    const CellResult got = pool.run(opts, config, seed);
+    EXPECT_EQ(wire::cell_result_to_json(got), wire::cell_result_to_json(want))
+        << "round " << round;
+  }
+  EXPECT_EQ(pool.workers_crashed(), 0u);
+}
+
 // ------------------------------------------------- socket transport
 
 TEST(UnixSocket, LineTransportRoundTrips) {
@@ -549,6 +590,123 @@ TEST(UnixSocket, LineTransportRoundTrips) {
   server.join();
   ::close(listen_fd);
   ::unlink(path.c_str());
+}
+
+// A connected stream socket pair: the transport under read_line_fd
+// without a listener.
+struct SocketPair {
+  int a = -1;
+  int b = -1;
+  SocketPair() {
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0) {
+      a = fds[0];
+      b = fds[1];
+    }
+  }
+  ~SocketPair() {
+    if (a >= 0) ::close(a);
+    if (b >= 0) ::close(b);
+  }
+  SocketPair(const SocketPair&) = delete;
+  SocketPair& operator=(const SocketPair&) = delete;
+};
+
+void send_all(int fd, const std::string& bytes) {
+  for (std::size_t sent = 0; sent < bytes.size();) {
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    sent += static_cast<std::size_t>(n);
+  }
+}
+
+TEST(UnixSocket, TwoLinesInOneSendAreReadSeparatelyAndNothingPastTheNewline) {
+  // scibench_submit's header and envelope often arrive in one segment;
+  // the first read must leave the second line in the socket untouched.
+  SocketPair pair;
+  ASSERT_GE(pair.a, 0);
+  send_all(pair.a, "{\"op\": \"submit\"}\n{\"schema\": \"scibench.campaign\"}\n");
+  std::string line;
+  ASSERT_TRUE(read_line_fd(pair.b, line));
+  EXPECT_EQ(line, "{\"op\": \"submit\"}");
+  char rest[64] = {};
+  const ssize_t n = ::recv(pair.b, rest, sizeof rest, MSG_DONTWAIT);
+  ASSERT_GT(n, 0);
+  EXPECT_EQ(std::string(rest, static_cast<std::size_t>(n)),
+            "{\"schema\": \"scibench.campaign\"}\n");
+
+  send_all(pair.a, "second\nthird\n");
+  ASSERT_TRUE(read_line_fd(pair.b, line));
+  EXPECT_EQ(line, "second");
+  ASSERT_TRUE(read_line_fd(pair.b, line));
+  EXPECT_EQ(line, "third");
+}
+
+TEST(UnixSocket, LineSentOneBytePerSendIsReassembled) {
+  SocketPair pair;
+  ASSERT_GE(pair.a, 0);
+  const std::string text = "{\"event\": \"cell\", \"n\": 24}";
+  std::thread writer([&pair, &text] {
+    for (const char c : text + "\n") {
+      ASSERT_EQ(::send(pair.a, &c, 1, MSG_NOSIGNAL), 1);
+      std::this_thread::yield();
+    }
+  });
+  std::string line;
+  EXPECT_TRUE(read_line_fd(pair.b, line));
+  writer.join();
+  EXPECT_EQ(line, text);
+}
+
+TEST(UnixSocket, LinesAroundTheBlockSizeRoundTrip) {
+  SocketPair pair;
+  ASSERT_GE(pair.a, 0);
+  std::vector<std::string> lines;
+  for (const std::size_t size :
+       {kLineBlockBytes - 1, kLineBlockBytes, kLineBlockBytes + 1, std::size_t{0}}) {
+    std::string text(size, 'x');
+    for (std::size_t i = 0; i < size; ++i) text[i] = static_cast<char>('a' + i % 26);
+    lines.push_back(text);
+  }
+  std::string stream;
+  for (const std::string& text : lines) stream += text + "\n";
+  send_all(pair.a, stream);
+  for (const std::string& text : lines) {
+    std::string line;
+    ASSERT_TRUE(read_line_fd(pair.b, line));
+    EXPECT_EQ(line, text) << "size " << text.size();
+  }
+}
+
+TEST(UnixSocket, LineOfExactlyTheCapIsAcceptedAndOneMoreThrows) {
+  for (const std::size_t cap : {kLineBlockBytes, std::size_t{10000}}) {
+    SocketPair pair;
+    ASSERT_GE(pair.a, 0);
+    send_all(pair.a, std::string(cap, 'x') + "\n");
+    std::string line;
+    EXPECT_TRUE(read_line_fd(pair.b, line, cap));
+    EXPECT_EQ(line.size(), cap);
+
+    send_all(pair.a, std::string(cap + 1, 'x') + "\n");
+    try {
+      (void)read_line_fd(pair.b, line, cap);
+      ADD_FAILURE() << "a line of cap + 1 bytes was accepted (cap " << cap << ")";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "line longer than " + std::to_string(cap) + " bytes");
+    }
+  }
+}
+
+TEST(UnixSocket, EofMidLineReturnsFalse) {
+  SocketPair pair;
+  ASSERT_GE(pair.a, 0);
+  send_all(pair.a, "complete\npartial");
+  ASSERT_EQ(::shutdown(pair.a, SHUT_WR), 0);
+  std::string line;
+  EXPECT_TRUE(read_line_fd(pair.b, line));
+  EXPECT_EQ(line, "complete");
+  EXPECT_FALSE(read_line_fd(pair.b, line));
+  EXPECT_FALSE(read_line_fd(pair.b, line));
 }
 
 /// scibenchd's accept loop, serving `clients` connections in turn.
@@ -638,6 +796,39 @@ TEST(UnixSocket, DeeplyNestedSubmissionIsRejectedAndNextClientServed) {
   daemon.join();
   ::close(listen_fd);
   ::unlink(path.c_str());
+}
+
+TEST(UnixSocket, NonIntegerPriorityIsRejectedAndNextClientServed) {
+  ProcessPool pool(pool_options(1));
+  CampaignService service(pool);
+  const std::string path = temp_path("svc_priority.sock");
+  const int listen_fd = listen_unix(path);
+  ASSERT_GE(listen_fd, 0);
+  const char* hostile[] = {"1e30", "-1e30", "1.5", "null"};
+  std::thread daemon = serve_in_turn(service, listen_fd, 5);
+
+  // Casting any of these to int was undefined behaviour.
+  const std::string campaign =
+      wire::campaign_to_json(grid_spec("svc_bad_priority"), small_sim_options());
+  for (const char* priority : hostile) {
+    const int client = connect_unix(path);
+    EXPECT_TRUE(write_line_fd(
+        client, std::string("{\"op\": \"submit\", \"priority\": ") + priority + "}"));
+    EXPECT_TRUE(write_line_fd(client, campaign));
+    std::string reply;
+    EXPECT_TRUE(read_line_fd(client, reply));
+    EXPECT_NE(reply.find("\"event\": \"rejected\""), std::string::npos) << priority;
+    EXPECT_NE(reply.find("priority"), std::string::npos) << reply;
+    EXPECT_FALSE(read_line_fd(client, reply)) << "the daemon closes the connection";
+    ::close(client);
+  }
+
+  EXPECT_TRUE(submission_runs_to_done(path, "svc_after_priority"));
+
+  daemon.join();
+  ::close(listen_fd);
+  ::unlink(path.c_str());
+  EXPECT_EQ(service.metrics().jobs_submitted, 1u) << "no hostile header was queued";
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
+#include "mutation.hpp"
+#include "rng/xoshiro.hpp"
 #include "sim/machine.hpp"
 #include "simmpi/comm.hpp"
 #include "simmpi/replay.hpp"
@@ -68,6 +71,48 @@ TEST(ScheduleParser, LineNumberedErrors) {
   expect_error("rank 0\ncalc 1.0 extra\n", "trailing");
   expect_error("rank 0\nrecv banana 3\n", "rank or 'any'");
   EXPECT_THROW((void)parse_schedule("", 0), std::invalid_argument);
+}
+
+TEST(ScheduleParser, MutantsParseOrThrowInvalidArgument) {
+  // A real schedule using every op, damaged byte by byte: each mutant
+  // must parse or throw std::invalid_argument -- any other exception
+  // escapes and fails the test; ASan/UBSan watch for the rest.
+  const std::string text = R"(# four-rank halo exchange with a reduction
+all
+calc 2.5e-4
+rank 0
+send 1 4096 10
+recv 3 13
+rank 1
+recv 0 10
+send 2 4096 11
+rank 2
+recv any 11
+send 3 4096 12
+rank 3
+recv 2 12
+send 0 4096 13
+all
+barrier
+reduce 2
+allreduce
+)";
+  ASSERT_EQ(parse_schedule(text, 4).total_ops(), 4 * 4 + 8u);
+  const auto attack = [](const std::string& bytes) {
+    try {
+      (void)parse_schedule(bytes, 4);
+    } catch (const std::invalid_argument&) {
+    }
+  };
+  for (std::size_t cut = 0; cut < text.size(); ++cut) attack(text.substr(0, cut));
+  rng::Xoshiro256 gen(0x73636864);
+  for (int kind = 0; kind < fuzz::kMutationKinds; ++kind) {
+    for (int i = 0; i < 400; ++i) {
+      std::string bytes = text;
+      fuzz::mutate(bytes, kind, gen);
+      attack(bytes);
+    }
+  }
 }
 
 TEST(Replay, PingPongCompletesWithExpectedTraffic) {

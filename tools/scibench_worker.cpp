@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <exception>
 #include <string>
+#include <string_view>
 
 #include "exec/sim_backend.hpp"
 #include "exec/wire.hpp"
@@ -50,14 +51,13 @@ void maybe_inject_fault(const exec::Config& config) {
 }  // namespace
 
 int main() {
-  std::string line;
-  for (;;) {
-    line.clear();
-    int c = 0;
-    while ((c = std::fgetc(stdin)) != EOF && c != '\n') {
-      line.push_back(static_cast<char>(c));
-    }
-    if (line.empty() && c == EOF) return 0;  // parent closed the pipe
+  char* buffer = nullptr;  // getline(3) reuses and grows it
+  std::size_t capacity = 0;
+  int status = 0;
+  for (ssize_t n = 0; (n = ::getline(&buffer, &capacity, stdin)) != -1;) {
+    // A last line without its newline still runs; EOF ends the loop.
+    const std::string_view line(buffer, static_cast<std::size_t>(
+                                            n > 0 && buffer[n - 1] == '\n' ? n - 1 : n));
 
     exec::CellResult reply;
     try {
@@ -71,9 +71,14 @@ int main() {
       reply.error = e.what();
     }
 
-    const std::string out = exec::wire::cell_result_to_json(reply);
-    if (std::fputs(out.c_str(), stdout) == EOF) return 1;
-    if (std::fputc('\n', stdout) == EOF) return 1;
-    if (std::fflush(stdout) != 0) return 1;
+    std::string out = exec::wire::cell_result_to_json(reply);
+    out += '\n';
+    if (std::fwrite(out.data(), 1, out.size(), stdout) != out.size() ||
+        std::fflush(stdout) != 0) {
+      status = 1;
+      break;
+    }
   }
+  std::free(buffer);
+  return status;  // 0: the parent closed the pipe
 }
